@@ -16,72 +16,32 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .adam import AdamState, TrainingDiverged, adam_step, fresh_state
+from .adam import TrainingDiverged
 from .codec import (
     BitstreamError,
     EncodedImage,
     HalfRangeError,
     decompress,
-    dequantize,
     deserialize,
     encoded_size,
-    quantize,
-    reconstruct_normalized,
     serialize,
 )
-from .cube import (
-    CubeFormatError,
-    CubeHeader,
-    HyperCube,
-    ScaleInfo,
-    denormalize,
-    load_cube,
-    normalize,
-    open_cube,
-    read_header,
-    save_cube,
-    synth_cube,
-    write_header,
-)
-from .encoder import (
-    DEFAULT_CANDIDATES,
-    BestSnapshot,
-    TrainConfig,
-    architecture_search,
-    compress,
-    overfit,
-    write_history_csv,
-)
-from .metrics import QualityReport, bpppb, mse, psnr, ssim_band, ssim_mean
-from .nn import Batch, mlp_forward, mlp_loss, mlp_loss_and_grad, numeric_gradient
-from .sampling import CoordGrid, SampleConfig, build_grid, gather_batch, sample_indices
-from .siren import (
-    DEFAULT_W0,
-    LayerParams,
-    SirenSpec,
-    flatten,
-    init_params,
-    layer_shapes,
-    param_count,
-    unflatten,
-)
+from .cube import CubeFormatError, HyperCube, normalize, open_cube, save_cube, synth_cube
+from .encoder import TrainConfig, architecture_search, compress
+from .metrics import QualityReport, bpppb, mse, psnr, ssim_mean
+from .sampling import SampleConfig
+from .siren import SirenSpec
 
 __version__ = "0.1.0"
 
+# The pipeline the CLI drives, plus its error types. Lower-level pieces are
+# imported from their submodules: hsin.nn, hsin.siren, hsin.adam,
+# hsin.sampling, hsin.codec, hsin.cube, hsin.encoder, hsin.metrics.
 __all__ = [
-    "AdamState", "TrainingDiverged", "adam_step", "fresh_state",
-    "BitstreamError", "EncodedImage", "HalfRangeError", "decompress",
-    "dequantize", "deserialize", "encoded_size", "quantize",
-    "reconstruct_normalized", "serialize",
-    "CubeFormatError", "CubeHeader", "HyperCube", "ScaleInfo", "denormalize",
-    "load_cube", "normalize", "open_cube", "read_header", "save_cube",
-    "synth_cube", "write_header",
-    "DEFAULT_CANDIDATES", "BestSnapshot", "TrainConfig",
-    "architecture_search", "compress", "overfit", "write_history_csv",
-    "QualityReport", "bpppb", "mse", "psnr", "ssim_band", "ssim_mean",
-    "Batch", "mlp_forward", "mlp_loss", "mlp_loss_and_grad", "numeric_gradient",
-    "CoordGrid", "SampleConfig", "build_grid", "gather_batch", "sample_indices",
-    "DEFAULT_W0", "LayerParams", "SirenSpec", "flatten", "init_params",
-    "layer_shapes", "param_count", "unflatten",
+    "synth_cube", "open_cube", "save_cube", "normalize", "HyperCube",
+    "SirenSpec", "TrainConfig", "SampleConfig", "compress", "architecture_search",
+    "EncodedImage", "serialize", "deserialize", "decompress", "encoded_size",
+    "QualityReport", "mse", "psnr", "ssim_mean", "bpppb",
+    "CubeFormatError", "BitstreamError", "HalfRangeError", "TrainingDiverged",
     "__version__",
 ]

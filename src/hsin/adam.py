@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class TrainingDiverged(ArithmeticError):
     """Raised when a gradient or loss stops being finite."""
 
@@ -25,40 +30,19 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.step < 0:
             raise ValueError("step must be >= 0")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
         if self.m.shape != self.v.shape:
             raise ValueError("moment vectors must have identical shape")
 
 
-def fresh_state(
-    params: np.ndarray,
-    lr: float = 2e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def fresh_state(params: np.ndarray, lr: float = 2e-4) -> AdamState:
     """Zeroed moments matching the parameter vector's shape and dtype."""
-    return AdamState(
-        step=0,
-        m=np.zeros_like(params),
-        v=np.zeros_like(params),
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+    return AdamState(step=0, m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def adam_step(
@@ -79,14 +63,9 @@ def adam_step(
             f"non-finite gradient at parameter {bad} on step {state.step + 1}"
         )
     t = state.step + 1
-    b1 = float(state.beta1)
-    b2 = float(state.beta2)
-    m = b1 * state.m + (1.0 - b1) * grads
-    v = b2 * state.v + (1.0 - b2) * (grads * grads)
-    m_hat = m * (1.0 / (1.0 - b1**t))
-    v_hat = v * (1.0 / (1.0 - b2**t))
-    new_params = params - float(state.lr) * m_hat / (np.sqrt(v_hat) + float(state.eps))
-    new_state = AdamState(
-        step=t, m=m, v=v, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps
-    )
-    return new_params, new_state
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * (grads * grads)
+    m_hat = m * (1.0 / (1.0 - BETA1**t))
+    v_hat = v * (1.0 / (1.0 - BETA2**t))
+    new_params = params - float(state.lr) * m_hat / (np.sqrt(v_hat) + EPS)
+    return new_params, AdamState(step=t, m=m, v=v, lr=state.lr)

@@ -22,7 +22,7 @@ from .codec import (
 )
 from .cube import CubeFormatError, normalize, open_cube, save_cube, synth_cube
 from .encoder import DEFAULT_PROBE_ITERATIONS, TrainConfig, architecture_search, compress
-from .metrics import QualityReport, bpppb, mse, psnr, ssim_mean
+from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
 from .sampling import SampleConfig
 from .siren import SirenSpec, param_count
 
@@ -156,9 +156,10 @@ def _cmd_metrics(args) -> int:
     recon = open_cube(args.recon)
     lo, hi = orig.value_range
     peak = hi - lo if hi > lo else 1.0
+    m = mse(orig, recon)
     report = QualityReport(
-        mse=mse(orig, recon),
-        psnr=psnr(orig, recon, peak=peak),
+        mse=m,
+        psnr=psnr_from_mse(m, peak),
         ssim_mean=ssim_mean(orig, recon, dynamic_range=peak),
     )
     print(report.to_text())

@@ -154,6 +154,10 @@ def deserialize(blob: bytes) -> EncodedImage:
     if len(blob) != expected:
         raise BitstreamError(f"expected {expected} bytes for {count} parameters, got {len(blob)}")
     params = np.frombuffer(blob, dtype="<f2" if qflag else "<f4", offset=HEADER_BYTES).copy()
+    bad = ~np.isfinite(params)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise BitstreamError(f"parameter {i} is {float(params[i])}; weights must be finite")
     try:
         return EncodedImage(
             width=width, height=height, bands=bands,
@@ -182,6 +186,4 @@ def decompress(enc: EncodedImage) -> HyperCube:
     recon = reconstruct_normalized(enc.to_spec(), params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
     raw = recon.T.astype(np.float64) * span + enc.scale.raw_min
-    data = np.ascontiguousarray(raw).ravel()
-    rng = (float(data.min()), float(data.max()))
-    return HyperCube(enc.width, enc.height, enc.bands, data, rng)
+    return HyperCube(enc.width, enc.height, enc.bands, raw)

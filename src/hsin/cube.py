@@ -30,18 +30,12 @@ class CubeHeader:
     width: int
     height: int
     bands: int
-    interleave: str = _INTERLEAVE
-    dtype: str = _DTYPE
 
     def __post_init__(self) -> None:
         for name in ("width", "height", "bands"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise CubeFormatError(f"{name} must be a positive integer, got {v!r}")
-        if self.interleave != _INTERLEAVE:
-            raise CubeFormatError(f"unsupported interleave {self.interleave!r}")
-        if self.dtype != _DTYPE:
-            raise CubeFormatError(f"unsupported dtype {self.dtype!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,6 @@ class HyperCube:
     height: int
     bands: int
     data: np.ndarray
-    value_range: tuple[float, float]
 
     def __post_init__(self) -> None:
         if min(self.width, self.height, self.bands) < 1:
@@ -75,6 +68,11 @@ class HyperCube:
         expected = self.width * self.height * self.bands
         if self.data.size != expected:
             raise ValueError(f"expected {expected} samples, got {self.data.size}")
+
+    @property
+    def value_range(self) -> tuple[float, float]:
+        """(min, max) over every sample, scanned on each access."""
+        return float(self.data.min()), float(self.data.max())
 
     @property
     def n_pixels(self) -> int:
@@ -91,18 +89,12 @@ class HyperCube:
         return self.band_matrix()[index].reshape(self.height, self.width)
 
 
-def _from_values(width: int, height: int, bands: int, data: np.ndarray) -> HyperCube:
-    data = np.ascontiguousarray(data, dtype=np.float64).ravel()
-    rng = (float(data.min()), float(data.max()))
-    return HyperCube(width, height, bands, data, rng)
-
-
 def read_header(path: str | Path) -> CubeHeader:
     """Parse a key=value sidecar header."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CubeFormatError(f"cannot read header {path}: {exc}") from exc
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -113,13 +105,14 @@ def read_header(path: str | Path) -> CubeHeader:
             raise CubeFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+    for key, only in (("interleave", _INTERLEAVE), ("dtype", _DTYPE)):
+        if fields.get(key, only) != only:
+            raise CubeFormatError(f"{path}: unsupported {key} {fields[key]!r}; only {only} is read")
     try:
         return CubeHeader(
             width=int(fields["width"]),
             height=int(fields["height"]),
             bands=int(fields["bands"]),
-            interleave=fields.get("interleave", _INTERLEAVE),
-            dtype=fields.get("dtype", _DTYPE),
         )
     except KeyError as exc:
         raise CubeFormatError(f"{path}: missing header field {exc.args[0]}") from exc
@@ -132,8 +125,8 @@ def write_header(header: CubeHeader, path: str | Path) -> None:
         f"width={header.width}",
         f"height={header.height}",
         f"bands={header.bands}",
-        f"interleave={header.interleave}",
-        f"dtype={header.dtype}",
+        f"interleave={_INTERLEAVE}",
+        f"dtype={_DTYPE}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -152,7 +145,16 @@ def load_cube(data_path: str | Path, header: CubeHeader) -> HyperCube:
             f"{header.width}x{header.height}x{header.bands} float32, got {len(raw)}"
         )
     data = np.frombuffer(raw, dtype="<f4")
-    return _from_values(header.width, header.height, header.bands, data)
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        band, pixel = divmod(i, header.width * header.height)
+        row, col = divmod(pixel, header.width)
+        raise CubeFormatError(
+            f"{data_path}: sample {i} (band {band}, row {row}, col {col}) is {float(data[i])}; "
+            "cube samples must be finite"
+        )
+    return HyperCube(header.width, header.height, header.bands, data)
 
 
 def open_cube(data_path: str | Path, header_path: str | Path | None = None) -> HyperCube:
@@ -178,20 +180,19 @@ def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:
     A constant cube maps to all zeros. The returned ScaleInfo restores raw
     units via denormalize.
     """
-    lo = float(cube.data.min())
-    hi = float(cube.data.max())
+    lo, hi = cube.value_range
     if hi > lo:
         scaled = (cube.data - lo) / (hi - lo)
     else:
         scaled = np.zeros_like(cube.data)
-    return _from_values(cube.width, cube.height, cube.bands, scaled), ScaleInfo(lo, hi)
+    return HyperCube(cube.width, cube.height, cube.bands, scaled), ScaleInfo(lo, hi)
 
 
 def denormalize(cube: HyperCube, scale: ScaleInfo) -> HyperCube:
     """Invert normalize: v * (raw_max - raw_min) + raw_min."""
     span = scale.raw_max - scale.raw_min
     data = cube.data * span + scale.raw_min
-    return _from_values(cube.width, cube.height, cube.bands, data)
+    return HyperCube(cube.width, cube.height, cube.bands, data)
 
 
 def _axis_unit(n: int) -> np.ndarray:
@@ -227,5 +228,4 @@ def synth_cube(kind: str, width: int, height: int, bands: int, seed: int = 0) ->
             vals = np.clip(phase / 3.0, 0.0, 1.0)
         else:
             vals = 0.5 + 0.5 * np.sin(2.0 * np.pi * phase)
-    vals = vals.astype(np.float32).astype(np.float64)
-    return _from_values(width, height, bands, vals)
+    return HyperCube(width, height, bands, vals.astype(np.float32))

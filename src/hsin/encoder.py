@@ -20,7 +20,7 @@ import numpy as np
 from .adam import TrainingDiverged, adam_step, fresh_state
 from .codec import EncodedImage, dequantize, quantize, reconstruct_normalized
 from .cube import HyperCube, normalize
-from .metrics import QualityReport, bpppb, ssim_mean
+from .metrics import QualityReport, bpppb, mse, psnr, psnr_from_mse, ssim_mean
 from .nn import Batch, mlp_loss_and_grad
 from .sampling import SampleConfig, build_grid, gather_batch, sample_indices
 from .siren import DEFAULT_W0, SirenSpec, init_params, param_count
@@ -69,17 +69,6 @@ class BestSnapshot:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _grid_psnr(spec: SirenSpec, params: np.ndarray, width: int, height: int,
-               targets64: np.ndarray) -> float:
-    """Full-grid PSNR through the decode-side reconstruction path."""
-    recon = reconstruct_normalized(spec, params, width, height)
-    diff = recon.astype(np.float64) - targets64
-    m = float(np.mean(diff * diff))
-    if m == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / m)
-
-
 def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     """Train one network on one normalized cube, keeping the best snapshot.
 
@@ -91,7 +80,8 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     """
     if cube.bands != spec.out_dim:
         raise ValueError(f"cube has {cube.bands} bands but spec.out_dim = {spec.out_dim}")
-    if float(cube.data.min()) < 0.0 or float(cube.data.max()) > 1.0:
+    lo, hi = cube.value_range
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("overfit expects a normalized cube with values in [0, 1]")
 
     grid = build_grid(cube.width, cube.height)
@@ -126,7 +116,8 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.iterations:
             eval_params = dequantize(quantize(params)) if half else params
-            score = _grid_psnr(spec, eval_params, cube.width, cube.height, targets64)
+            score = psnr(reconstruct_normalized(spec, eval_params, cube.width, cube.height),
+                         targets64)
             history.append((epoch, score))
             if score > best_psnr:
                 best_psnr = score
@@ -227,14 +218,11 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float, cfg: TrainConfi
     recon = reconstruct_normalized(spec, decode_params, cube.width, cube.height)
     decompress_seconds = time.perf_counter() - t1
 
-    targets64 = np.ascontiguousarray(normalized.band_matrix().T)
-    diff = recon.astype(np.float64) - targets64
-    m = float(np.mean(diff * diff))
-    score = math.inf if m == 0.0 else 10.0 * math.log10(1.0 / m)
+    m = mse(recon, np.ascontiguousarray(normalized.band_matrix().T))
     bits = 16 if half else 32
     report = QualityReport(
         mse=m,
-        psnr=score,
+        psnr=psnr_from_mse(m),
         ssim_mean=ssim_mean(normalized, recon.T),
         bpppb=bpppb(param_count(spec), bits, cube.width, cube.height, cube.bands),
         compress_seconds=compress_seconds,

@@ -22,33 +22,37 @@ def _flat(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).ravel()
 
 
-def _check_compatible(a, b) -> None:
+def mse(a, b) -> float:
+    """Mean squared error over every sample of the cube."""
     if isinstance(a, HyperCube) and isinstance(b, HyperCube):
         da = (a.width, a.height, a.bands)
         db = (b.width, b.height, b.bands)
         if da != db:
             raise ValueError(f"cube dimensions differ: {da} vs {db}")
-    elif _flat(a).shape != _flat(b).shape:
-        raise ValueError(f"sizes differ: {_flat(a).size} vs {_flat(b).size}")
-
-
-def mse(a, b) -> float:
-    """Mean squared error over every sample of the cube."""
-    _check_compatible(a, b)
-    x = _flat(a).astype(np.float64, copy=False)
-    y = _flat(b).astype(np.float64, copy=False)
+    x = _flat(a)
+    y = _flat(b)
+    if x.shape != y.shape:
+        raise ValueError(f"sizes differ: {x.size} vs {y.size}")
+    # drop a float64 copy of a float32 input before squaring, and square in
+    # place: at most two cube-sized float64 arrays live at once
     d = x - y
-    return float(np.mean(d * d))
+    del x, y
+    d *= d
+    return float(np.mean(d))
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / mse); +inf when the inputs are identical."""
+def psnr_from_mse(m: float, peak: float = 1.0) -> float:
+    """10*log10(peak^2 / m); +inf for a zero error."""
     if not peak > 0:
         raise ValueError(f"peak must be positive, got {peak!r}")
-    m = mse(a, b)
     if m == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / m)
+
+
+def psnr(a, b, peak: float = 1.0) -> float:
+    """PSNR of two cubes or arrays; +inf when the inputs are identical."""
+    return psnr_from_mse(mse(a, b), peak)
 
 
 def ssim_band(x, y, dynamic_range: float = 1.0) -> float:

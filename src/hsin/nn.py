@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .siren import SirenSpec, layer_shapes, unflatten
+from .siren import SirenSpec, unflatten
 
 
 @dataclass(eq=False)
@@ -37,27 +37,34 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def affine_forward(weights: np.ndarray, biases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x @ W.T + b for a batch of rows."""
-    if x.shape[1] != weights.shape[1]:
-        raise ValueError(f"input dim {x.shape[1]} != layer fan_in {weights.shape[1]}")
-    return x @ weights.T + biases
+def _forward(layers, w0: float, a: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """sin(w0 * (a @ W.T + b)) per hidden layer, then the affine output layer.
+
+    Evaluation and training share this loop. Given a cache list, it appends
+    (layer input, pre-activation) per hidden layer and (layer input, None)
+    for the output layer: what backprop needs.
+    """
+    for weights, biases in layers[:-1]:
+        z = a @ weights.T + biases
+        if cache is not None:
+            cache.append((a, z))
+        a = np.sin(w0 * z)
+    weights, biases = layers[-1]
+    if cache is not None:
+        cache.append((a, None))
+    return a @ weights.T + biases
 
 
-def sine_forward(z: np.ndarray, w0: float) -> np.ndarray:
-    return np.sin(w0 * z)
+def _inputs(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    a = np.asarray(inputs, dtype=params.dtype)
+    if a.ndim != 2 or a.shape[1] != spec.in_dim:
+        raise ValueError(f"inputs must be (n, {spec.in_dim}), got {a.shape}")
+    return a
 
 
 def mlp_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on (n, in_dim) coordinates; returns (n, out_dim)."""
-    layers = unflatten(spec, params)
-    a = np.asarray(inputs, dtype=params.dtype)
-    if a.ndim != 2 or a.shape[1] != spec.in_dim:
-        raise ValueError(f"inputs must be (n, {spec.in_dim}), got {a.shape}")
-    for layer in layers[:-1]:
-        a = sine_forward(affine_forward(layer.weights, layer.biases, a), spec.w0)
-    last = layers[-1]
-    return affine_forward(last.weights, last.biases, a)
+    return _forward(unflatten(spec, params), float(spec.w0), _inputs(spec, params, inputs))
 
 
 def mlp_loss(spec: SirenSpec, params: np.ndarray, batch: Batch) -> float:
@@ -77,20 +84,9 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tupl
     """
     layers = unflatten(spec, params)
     w0 = float(spec.w0)
-    x = np.asarray(batch.inputs, dtype=params.dtype)
     targets = np.asarray(batch.targets, dtype=params.dtype)
-
-    # forward, caching each layer's input and pre-activation
-    acts = [x]
-    pres = []
-    a = x
-    for layer in layers[:-1]:
-        z = affine_forward(layer.weights, layer.biases, a)
-        pres.append(z)
-        a = np.sin(w0 * z)
-        acts.append(a)
-    last = layers[-1]
-    pred = affine_forward(last.weights, last.biases, a)
+    cache: list = []
+    pred = _forward(layers, w0, _inputs(spec, params, batch.inputs), cache)
 
     diff = pred - targets
     loss = float(np.mean(diff * diff))
@@ -100,13 +96,12 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tupl
 
     grads = [np.empty(0)] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        gw = dy.T @ acts[i]
+        gw = dy.T @ cache[i][0]
         gb = dy.sum(axis=0)
         grads[i] = np.concatenate([gw.ravel(), gb])
         if i > 0:
-            dx = dy @ layer.weights
-            dy = dx * (w0 * np.cos(w0 * pres[i - 1]))
+            dx = dy @ layers[i][0]
+            dy = dx * (w0 * np.cos(w0 * cache[i - 1][1]))
     return loss, np.concatenate(grads).astype(params.dtype, copy=False)
 
 

@@ -34,7 +34,6 @@ class SampleConfig:
     window: int
     rate: float
     seed: int = 0
-    resample_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.window, int) or self.window < 1:
@@ -72,17 +71,15 @@ def _block_k(rate: float, npix: int) -> int:
 def sample_indices(width: int, height: int, cfg: SampleConfig, epoch: int = 0) -> np.ndarray:
     """Sorted flat pixel indices drawn for one epoch.
 
-    Deterministic in (cfg.seed, epoch); with resample_each_epoch False every
-    epoch reuses the epoch-0 draw. Blocks of equal shape are drawn in one
-    vectorized pass: uniform keys per pixel, k smallest kept, which makes
-    every k-subset of a block equally likely.
+    Deterministic in (cfg.seed, epoch), a fresh draw every epoch. Blocks of
+    equal shape are drawn in one vectorized pass: uniform keys per pixel, k
+    smallest kept, which makes every k-subset of a block equally likely.
     """
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be >= 1")
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    eff_epoch = epoch if cfg.resample_each_epoch else 0
-    rng = np.random.default_rng([cfg.seed, eff_epoch])
+    rng = np.random.default_rng([cfg.seed, epoch])
 
     x_starts = np.arange(0, width, cfg.window)
     y_starts = np.arange(0, height, cfg.window)
@@ -111,17 +108,6 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, epoch: int = 0) -
         flat = (oy[:, None] + dy) * width + (ox[:, None] + dx)
         chunks.append(flat.ravel())
     return np.sort(np.concatenate(chunks)).astype(np.int64)
-
-
-def expected_sample_count(width: int, height: int, cfg: SampleConfig) -> int:
-    """Exact number of indices sample_indices returns for this geometry."""
-    x_sizes = np.minimum(cfg.window, width - np.arange(0, width, cfg.window))
-    y_sizes = np.minimum(cfg.window, height - np.arange(0, height, cfg.window))
-    total = 0
-    for bh in y_sizes:
-        for bw in x_sizes:
-            total += _block_k(cfg.rate, int(bw) * int(bh))
-    return total
 
 
 def gather_batch(cube: HyperCube, grid: CoordGrid, indices: np.ndarray, dtype=None) -> Batch:

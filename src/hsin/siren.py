@@ -39,22 +39,6 @@ class SirenSpec:
             raise ValueError(f"w0 must be positive, got {self.w0!r}")
 
 
-@dataclass(eq=False)
-class LayerParams:
-    """One affine layer: weights (fan_out, fan_in) and biases (fan_out,)."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise ValueError("weights must be 2-D and biases 1-D")
-        if self.weights.shape[0] != self.biases.shape[0]:
-            raise ValueError(
-                f"fan_out mismatch: weights {self.weights.shape}, biases {self.biases.shape}"
-            )
-
-
 def layer_shapes(spec: SirenSpec) -> list[tuple[int, int]]:
     """(fan_out, fan_in) per layer, input to output."""
     shapes = [(spec.hidden_width, spec.in_dim)]
@@ -82,17 +66,12 @@ def init_params(spec: SirenSpec, seed: int, dtype=np.float32) -> np.ndarray:
     return np.concatenate(parts).astype(dtype)
 
 
-def flatten(layers: list[LayerParams]) -> np.ndarray:
-    """Concatenate layers into the canonical flat vector."""
-    parts = []
-    for layer in layers:
-        parts.append(layer.weights.ravel())
-        parts.append(layer.biases)
-    return np.concatenate(parts)
+def unflatten(spec: SirenSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat vector into per-layer (weights, biases) views (no copies).
 
-
-def unflatten(spec: SirenSpec, params: np.ndarray) -> list[LayerParams]:
-    """Split a flat vector into per-layer views (no copies)."""
+    Weights are (fan_out, fan_in) and biases (fan_out,), input to output.
+    Everything that reads parameters layer by layer goes through here.
+    """
     params = np.asarray(params)
     if params.ndim != 1:
         raise ValueError("parameter vector must be 1-D")
@@ -106,5 +85,5 @@ def unflatten(spec: SirenSpec, params: np.ndarray) -> list[LayerParams]:
         offset += fan_out * fan_in
         b = params[offset : offset + fan_out]
         offset += fan_out
-        layers.append(LayerParams(w, b))
+        layers.append((w, b))
     return layers

@@ -80,7 +80,7 @@ def scalar_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def make_cube(width: int, height: int, bands: int, values) -> HyperCube:
     data = np.asarray(values, dtype=np.float64).ravel()
-    return HyperCube(width, height, bands, data, (float(data.min()), float(data.max())))
+    return HyperCube(width, height, bands, data)
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

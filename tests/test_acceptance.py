@@ -14,27 +14,24 @@ import numpy as np
 import pytest
 
 from hsin import (
-    Batch,
     EncodedImage,
     SampleConfig,
-    ScaleInfo,
     SirenSpec,
     TrainConfig,
     bpppb,
     deserialize,
-    init_params,
-    mlp_loss_and_grad,
     mse,
     normalize,
-    numeric_gradient,
     open_cube,
-    overfit,
-    param_count,
     psnr,
     serialize,
     ssim_mean,
     synth_cube,
 )
+from hsin.cube import ScaleInfo
+from hsin.encoder import overfit
+from hsin.nn import Batch, mlp_loss_and_grad, numeric_gradient
+from hsin.siren import init_params, param_count
 from conftest import make_cube, rel_err
 
 ALL_SNAPSHOTS = []  # every training run here feeds criterion 4

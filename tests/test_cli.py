@@ -1,8 +1,15 @@
 """Command-line pipeline: dispatch, exit codes, and the end-to-end flow."""
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hsin
 import hsin.cli as cli
 from hsin import HalfRangeError, TrainingDiverged, open_cube, synth_cube, save_cube
 
@@ -137,6 +144,61 @@ def test_truncated_cube_exits_2(tmp_path, capsys):
     raw.write_bytes(raw.read_bytes()[:-8])
     assert cli.run(["metrics", "--orig", str(raw), "--recon", str(raw)]) == 2
     assert "expected" in capsys.readouterr().err
+
+
+def test_non_finite_cube_samples_exit_2(tmp_path, capsys):
+    for name, bad in (("nan", np.nan), ("inf", np.inf)):
+        raw = tmp_path / f"{name}.raw"
+        save_cube(synth_cube("random", 4, 4, 2, seed=5), raw)
+        data = np.fromfile(raw, dtype="<f4")
+        data[21] = bad  # band 1, row 1, col 1
+        data.tofile(raw)
+        assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+                        "--iters", "10", "--out", str(tmp_path / "x.hsin")]) == 2
+        assert f"sample 21 (band 1, row 1, col 1) is {name}" in capsys.readouterr().err
+        assert cli.run(["metrics", "--orig", str(raw), "--recon", str(raw)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.hsin").exists()
+
+
+def test_non_finite_weights_exit_2(tmp_path, capsys):
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 4, 4, 2, seed=6), raw)
+    # first payload weight: float32 NaN, or float16 +inf (0x7C00)
+    for flag, patch, shown in (([], struct.pack("<f", np.nan), "nan"),
+                               (["--half"], struct.pack("<H", 0x7C00), "inf")):
+        hsn = tmp_path / "c.hsin"
+        assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+                        "--iters", "20", "--out", str(hsn)] + flag) == 0
+        capsys.readouterr()
+        blob = bytearray(hsn.read_bytes())
+        blob[25:25 + len(patch)] = patch
+        hsn.write_bytes(bytes(blob))
+        assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / "r.raw")]) == 2
+        assert f"parameter 0 is {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "r.raw").exists()
+
+
+def test_output_bytes_independent_of_thread_count(tmp_path):
+    # the same compress in two fresh processes, with one and two BLAS threads
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("band-sinusoid", 64, 64, 32), raw)
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.hsin"
+        subprocess.run(
+            [sys.executable, "-c", "import sys, hsin.cli; sys.exit(hsin.cli.run(sys.argv[1:]))",
+             "compress", "--input", str(raw), "--layers", "5", "--width", "40",
+             "--iters", "60", "--out", str(out)],
+            env={**env, "HSIN_THREADS": threads}, check=True, capture_output=True,
+        )
+        outs.append(out.read_bytes())
+    assert len(outs[0]) == 25 + 4 * 7992
+    assert outs[0] == outs[1]
 
 
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):

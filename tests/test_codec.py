@@ -4,22 +4,22 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsin import (
     BitstreamError,
     EncodedImage,
     HalfRangeError,
-    ScaleInfo,
     SirenSpec,
     decompress,
-    dequantize,
     deserialize,
     encoded_size,
-    init_params,
-    param_count,
-    quantize,
     serialize,
 )
+from hsin.codec import dequantize, quantize
+from hsin.cube import ScaleInfo
+from hsin.siren import init_params, param_count
 from conftest import half_bits
 
 
@@ -187,6 +187,52 @@ def test_deserialize_error_cases():
     zeroed[5] = zeroed[6] = 0
     with pytest.raises(BitstreamError, match="zero"):
         deserialize(bytes(zeroed))
+
+
+def test_deserialize_rejects_non_finite_weights():
+    rng = np.random.default_rng(38)
+    full = bytearray(serialize(random_encoded(rng, False)))
+    full[25:29] = struct.pack("<f", float("nan"))  # first float32 weight
+    with pytest.raises(BitstreamError, match="parameter 0 is nan"):
+        deserialize(bytes(full))
+    half = bytearray(serialize(random_encoded(rng, True)))
+    half[27:29] = struct.pack("<H", 0x7C00)  # second float16 weight: +inf
+    with pytest.raises(BitstreamError, match="parameter 1 is inf"):
+        deserialize(bytes(half))
+
+
+def _fuzz_base(quantized: bool) -> bytes:
+    spec = SirenSpec(n_hidden=2, hidden_width=3, out_dim=2)
+    params = init_params(spec, seed=1)
+    return serialize(EncodedImage(
+        width=3, height=2, bands=2, n_hidden=2, hidden_width=3, quantized=quantized,
+        scale=ScaleInfo(-1.0, 2.0), params=quantize(params) if quantized else params,
+    ))
+
+
+_FUZZ_BASES = (_fuzz_base(False), _fuzz_base(True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(_FUZZ_BASES),
+    flips=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 255)), max_size=4),
+    cut=st.just(0) | st.integers(1, 200),
+    tail=st.binary(max_size=8),
+)
+def test_deserialize_fuzz_mutated_streams(base, flips, cut, tail):
+    # byte flips, truncation and extension of a valid stream: either a clean
+    # BitstreamError or a fully finite, self-consistent image
+    blob = bytearray(base)
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    blob = bytes(blob[: max(0, len(blob) - cut)]) + tail
+    try:
+        enc = deserialize(blob)
+    except BitstreamError:
+        return
+    assert np.isfinite(enc.params).all()
+    assert len(blob) == encoded_size(enc)
 
 
 def test_reserved_bytes_ignored_on_read():

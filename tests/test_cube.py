@@ -2,19 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsin import (
-    CubeFormatError,
-    CubeHeader,
-    HyperCube,
-    denormalize,
-    load_cube,
-    normalize,
-    open_cube,
-    read_header,
-    save_cube,
-    synth_cube,
-)
+from hsin import CubeFormatError, HyperCube, normalize, open_cube, save_cube, synth_cube
+from hsin.cube import CubeHeader, denormalize, load_cube, read_header
 from conftest import make_cube
 
 
@@ -33,7 +25,7 @@ def test_bsq_layout_and_band_views():
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        HyperCube(0, 4, 2, np.zeros(0), (0.0, 0.0))
+        HyperCube(0, 4, 2, np.zeros(0))
     with pytest.raises(ValueError):
         make_cube(2, 2, 2, np.zeros(7))  # wrong sample count
 
@@ -69,7 +61,7 @@ def test_header_round_trip_and_errors(tmp_path):
     save_cube(cube, tmp_path / "c.raw")
     hdr = read_header(tmp_path / "c.hdr")
     assert (hdr.width, hdr.height, hdr.bands) == (3, 2, 4)
-    assert hdr.interleave == "bsq" and hdr.dtype == "f32le"
+    assert "interleave=bsq\ndtype=f32le\n" in (tmp_path / "c.hdr").read_text()
 
     bad = tmp_path / "bad.hdr"
     bad.write_text("width=3\nheight=2\n")  # bands missing
@@ -83,8 +75,48 @@ def test_header_round_trip_and_errors(tmp_path):
         read_header(bad)
     with pytest.raises(CubeFormatError):
         CubeHeader(3, 0, 4)
-    with pytest.raises(CubeFormatError):
-        CubeHeader(3, 2, 4, interleave="bil")
+    bad.write_text("width=3\nheight=2\nbands=4\ninterleave=bil\n")
+    with pytest.raises(CubeFormatError, match="interleave 'bil'"):
+        read_header(bad)
+    bad.write_text("width=3\nheight=2\nbands=4\ndtype=f64le\n")
+    with pytest.raises(CubeFormatError, match="dtype"):
+        read_header(bad)
+
+
+def test_load_rejects_non_finite_samples(tmp_path):
+    for bad_value, shown in ((np.nan, "nan"), (-np.inf, "-inf")):
+        cube = synth_cube("random", 3, 2, 2, seed=0)
+        save_cube(cube, tmp_path / "c.raw")
+        data = cube.data.astype("<f4")
+        data[8] = bad_value  # band 1, row 0, col 2
+        (tmp_path / "c.raw").write_bytes(data.tobytes())
+        with pytest.raises(CubeFormatError, match=f"sample 8 \\(band 1, row 0, col 2\\) is {shown}"):
+            open_cube(tmp_path / "c.raw")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
+def test_read_header_fuzz_text(tmp_path_factory, text):
+    # arbitrary text either parses into a valid header or fails cleanly
+    path = tmp_path_factory.mktemp("hdr") / "c.hdr"
+    path.write_text(text, encoding="utf-8")
+    try:
+        hdr = read_header(path)
+    except CubeFormatError:
+        return
+    assert min(hdr.width, hdr.height, hdr.bands) >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary())
+def test_read_header_fuzz_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("hdr") / "c.hdr"
+    path.write_bytes(b"width=2\nheight=2\nbands=2\n" + blob)
+    try:
+        hdr = read_header(path)
+    except CubeFormatError:
+        return
+    assert min(hdr.width, hdr.height, hdr.bands) >= 1
 
 
 def test_header_comments_and_blank_lines(tmp_path):

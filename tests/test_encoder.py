@@ -7,7 +7,6 @@ import pytest
 
 import hsin.encoder
 from hsin import (
-    HyperCube,
     SampleConfig,
     SirenSpec,
     TrainConfig,
@@ -17,12 +16,12 @@ from hsin import (
     compress,
     decompress,
     normalize,
-    overfit,
-    param_count,
     psnr,
     serialize,
     synth_cube,
 )
+from hsin.encoder import overfit
+from hsin.siren import param_count
 from conftest import make_cube
 
 

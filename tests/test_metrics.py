@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsin import QualityReport, bpppb, mse, psnr, ssim_band, ssim_mean, synth_cube
+from hsin import QualityReport, bpppb, mse, psnr, ssim_mean, synth_cube
+from hsin.metrics import psnr_from_mse, ssim_band
 from conftest import make_cube
 
 
@@ -68,9 +69,19 @@ def test_psnr_monotone_in_mse():
     assert psnr(a, np.full(10, 0.1)) > psnr(a, np.full(10, 0.2))
 
 
+def test_psnr_is_psnr_from_mse():
+    rng = np.random.default_rng(3)
+    x, y = rng.random(50), rng.random(50)
+    assert psnr(x, y, peak=2.0) == psnr_from_mse(mse(x, y), 2.0)
+    assert psnr_from_mse(1e-4) == pytest.approx(40.0, rel=1e-15)
+    assert psnr_from_mse(0.0) == math.inf
+
+
 def test_psnr_peak_validation():
     with pytest.raises(ValueError):
         psnr(np.zeros(2), np.zeros(2), peak=0.0)
+    with pytest.raises(ValueError):
+        psnr_from_mse(0.5, peak=-1.0)
 
 
 # --------------------------------------------------------------------- ssim

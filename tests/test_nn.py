@@ -5,16 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hsin import (
-    Batch,
-    SirenSpec,
-    init_params,
-    mlp_forward,
-    mlp_loss,
-    mlp_loss_and_grad,
-    numeric_gradient,
-    param_count,
-)
+from hsin.nn import Batch, mlp_forward, mlp_loss, mlp_loss_and_grad, numeric_gradient
+from hsin.siren import SirenSpec, init_params, param_count
 from conftest import rel_err, scalar_forward, scalar_loss
 
 

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsin import (
-    LayerParams,
-    SirenSpec,
-    flatten,
-    init_params,
-    layer_shapes,
-    param_count,
-    unflatten,
-)
+from hsin.siren import SirenSpec, init_params, layer_shapes, param_count, unflatten
 
 
 def enumerate_count(spec: SirenSpec) -> int:
@@ -58,8 +50,8 @@ def test_spec_validation():
 def test_init_bounds_first_layer():
     # fan_in = 2 -> uniform in (-0.5, 0.5), open interval
     spec = SirenSpec(n_hidden=1, hidden_width=64, out_dim=4)
-    layers = unflatten(spec, init_params(spec, seed=0, dtype=np.float64))
-    first = np.concatenate([layers[0].weights.ravel(), layers[0].biases])
+    (weights, biases), *_ = unflatten(spec, init_params(spec, seed=0, dtype=np.float64))
+    first = np.concatenate([weights.ravel(), biases])
     assert np.abs(first).max() < 0.5
     assert np.abs(first).max() > 0.4  # actually fills the interval
 
@@ -70,8 +62,8 @@ def test_init_bounds_later_layers():
     bound = np.sqrt(6.0 / 40.0) / 30.0
     assert abs(bound - 0.012909944487358056) < 1e-15
     layers = unflatten(spec, init_params(spec, seed=1, dtype=np.float64))
-    for layer in layers[1:]:
-        vals = np.concatenate([layer.weights.ravel(), layer.biases])
+    for weights, biases in layers[1:]:
+        vals = np.concatenate([weights.ravel(), biases])
         assert np.abs(vals).max() < bound
         assert np.abs(vals).max() > 0.8 * bound
 
@@ -91,10 +83,12 @@ def test_flatten_unflatten_round_trip():
     params = init_params(spec, seed=3, dtype=np.float64)
     layers = unflatten(spec, params)
     assert len(layers) == spec.n_hidden + 1
-    again = flatten(layers)
+    assert [w.shape for w, _ in layers] == layer_shapes(spec)
+    assert all(b.shape == (w.shape[0],) for w, b in layers)
+    again = np.concatenate([part.ravel() for layer in layers for part in layer])
     assert np.array_equal(again, params)
     # unflatten returns views into the same buffer, not copies
-    assert layers[0].weights.base is params
+    assert all(np.shares_memory(part, params) for layer in layers for part in layer)
 
 
 def test_unflatten_rejects_wrong_length():
@@ -103,16 +97,11 @@ def test_unflatten_rejects_wrong_length():
         unflatten(spec, np.zeros(26))
 
 
-def test_layer_params_validation():
-    with pytest.raises(ValueError):
-        LayerParams(np.zeros((3, 2)), np.zeros(4))
-
-
 def test_canonical_order_is_load_bearing():
     # permuting the flat vector must change what the layers see
     spec = SirenSpec(n_hidden=1, hidden_width=3, out_dim=2)
     params = init_params(spec, seed=7, dtype=np.float64)
     rolled = np.roll(params, 1)
-    a = unflatten(spec, params)[0].weights
-    b = unflatten(spec, rolled)[0].weights
+    a = unflatten(spec, params)[0][0]
+    b = unflatten(spec, rolled)[0][0]
     assert not np.array_equal(a, b)
