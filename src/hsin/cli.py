@@ -8,6 +8,7 @@ Reports go to stdout as key=value lines; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .codec import (
     decompress,
     deserialize,
     encoded_size,
+    payload_bits,
     serialize,
 )
 from .cube import CubeFormatError, normalize, open_cube, save_cube, synth_cube
@@ -70,7 +72,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample-rate", type=float, help="fraction of pixels per block")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eval-every", type=int, default=100, help="epochs between PSNR checks")
-    p.add_argument("--history-csv", help="optional epoch,psnr CSV output")
+    p.add_argument("--history-csv", dest="history", metavar="HISTORY_CSV",
+                   help="optional epoch,psnr CSV output")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="reconstruct a cube from a .hsin file")
@@ -111,6 +114,11 @@ def _cmd_compress(args) -> int:
     if (args.sample_window is None) != (args.sample_rate is None):
         raise _UsageError("--sample-window and --sample-rate must be given together")
 
+    for path in (args.out, args.history):
+        # fail before training, not after, when an output cannot be written
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+
     cube = open_cube(args.input)
     sample = None
     if args.sample_window is not None:
@@ -120,14 +128,18 @@ def _cmd_compress(args) -> int:
         eval_every=args.eval_every,
         sample=sample,
         seed=args.seed,
-        precision="half16" if args.half else "full32",
+        half=args.half,
     )
     if explicit:
         spec_or_budget = SirenSpec(n_hidden=args.layers, hidden_width=args.width, out_dim=cube.bands)
     else:
         spec_or_budget = args.budget_bpppb
-    enc, report = compress(cube, spec_or_budget, cfg, history_csv=args.history_csv)
+    enc, report = compress(cube, spec_or_budget, cfg)
     Path(args.out).write_bytes(serialize(enc))
+    if args.history is not None:
+        with open(args.history, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("epoch", "psnr")] + [(e, repr(float(s))) for e, s in report.history])
     print(report.to_text())
     print(f"n_hidden={enc.n_hidden}")
     print(f"hidden_width={enc.hidden_width}")
@@ -175,7 +187,7 @@ def _cmd_search(args) -> int:
     print(f"n_hidden={spec.n_hidden}")
     print(f"hidden_width={spec.hidden_width}")
     print(f"n_params={n}")
-    print(f"bpppb={bpppb(n, 32, cube.width, cube.height, cube.bands)!r}")
+    print(f"bpppb={bpppb(n, payload_bits(probe_cfg.half), cube.width, cube.height, cube.bands)!r}")
     return 0
 
 

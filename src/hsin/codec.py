@@ -18,7 +18,9 @@ File layout (little-endian, 25-byte fixed prefix, see FORMAT.md):
 
 The architecture plus the band count fully determine the parameter count, so
 the payload length is implied and checked. The sine frequency is a constant
-of format version 1 (w0 = 30); it is not stored.
+of format version 1 (w0 = 30); it is not stored. Every decision about what
+the payload holds (its dtype per precision, the shapes the header can store)
+is made in this module.
 """
 
 from __future__ import annotations
@@ -72,9 +74,31 @@ def quantize(params: np.ndarray) -> np.ndarray:
     return arr.astype(np.float16)
 
 
-def dequantize(half: np.ndarray) -> np.ndarray:
-    """Exact widening of float16 back to float32."""
-    return np.asarray(half, dtype=np.float16).astype(np.float32)
+def payload_dtype(half: bool) -> np.dtype:
+    """On-disk dtype of the weights: float16 for a half payload, else float32."""
+    return np.dtype("<f2" if half else "<f4")
+
+
+def payload_bits(half: bool) -> int:
+    """Bits one stored parameter takes, for rate (bpppb) arithmetic."""
+    return 8 * payload_dtype(half).itemsize
+
+
+def check_format(width: int, height: int, spec: SirenSpec) -> None:
+    """Raise ValueError unless format version 1 can store this scene and net.
+
+    The header holds width, height and bands as uint16 and the net's depth
+    and width as uint8; the inputs are always (x, y) and w0 is fixed.
+    """
+    for name, value, hi in (("width", width, 65535), ("height", height, 65535),
+                            ("bands", spec.out_dim, 65535), ("n_hidden", spec.n_hidden, 255),
+                            ("hidden_width", spec.hidden_width, 255)):
+        if not isinstance(value, int) or not 1 <= value <= hi:
+            raise ValueError(f"{name} must be an integer in [1, {hi}], got {value!r}")
+    if spec.in_dim != 2:
+        raise ValueError(f"the file format only covers 2-D coordinate inputs; got {spec.in_dim}")
+    if spec.w0 != DEFAULT_W0:
+        raise ValueError(f"the file format fixes w0 = {DEFAULT_W0}; got {spec.w0}")
 
 
 @dataclass(eq=False)
@@ -91,18 +115,15 @@ class EncodedImage:
     params: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, hi in (("width", 65535), ("height", 65535), ("bands", 65535),
-                         ("n_hidden", 255), ("hidden_width", 255)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 1 <= v <= hi:
-                raise ValueError(f"{name} must be an integer in [1, {hi}], got {v!r}")
-        want = np.float16 if self.quantized else np.float32
+        spec = self.to_spec()
+        check_format(self.width, self.height, spec)
+        want = payload_dtype(self.quantized)
         if self.params.ndim != 1 or self.params.dtype != want:
             raise ValueError(
-                f"params must be a 1-D {np.dtype(want).name} vector, "
+                f"params must be a 1-D {want.name} vector, "
                 f"got {self.params.dtype} with shape {self.params.shape}"
             )
-        expected = param_count(self.to_spec())
+        expected = param_count(spec)
         if self.params.size != expected:
             raise ValueError(f"expected {expected} parameters, got {self.params.size}")
         # the wire format stores the scale at float32 precision; canonicalize
@@ -122,7 +143,7 @@ class EncodedImage:
 
 def encoded_size(enc: EncodedImage) -> int:
     """Exact byte length serialize will produce."""
-    return HEADER_BYTES + enc.params.size * (2 if enc.quantized else 4)
+    return HEADER_BYTES + enc.params.size * payload_dtype(enc.quantized).itemsize
 
 
 def serialize(enc: EncodedImage) -> bytes:
@@ -131,7 +152,7 @@ def serialize(enc: EncodedImage) -> bytes:
         enc.n_hidden, enc.hidden_width, int(enc.quantized),
     )
     scale = _SCALE.pack(enc.scale.raw_min, enc.scale.raw_max)
-    payload = enc.params.astype("<f2" if enc.quantized else "<f4", copy=False).tobytes()
+    payload = enc.params.astype(payload_dtype(enc.quantized), copy=False).tobytes()
     return head + scale + payload
 
 
@@ -149,11 +170,11 @@ def deserialize(blob: bytes) -> EncodedImage:
         raise BitstreamError("header contains a zero dimension")
     raw_min, raw_max = _SCALE.unpack_from(blob, _HEADER.size)
     count = param_count(SirenSpec(n_hidden=n_hidden, hidden_width=hidden_width, out_dim=bands))
-    itemsize = 2 if qflag else 4
-    expected = HEADER_BYTES + count * itemsize
+    dtype = payload_dtype(bool(qflag))
+    expected = HEADER_BYTES + count * dtype.itemsize
     if len(blob) != expected:
         raise BitstreamError(f"expected {expected} bytes for {count} parameters, got {len(blob)}")
-    params = np.frombuffer(blob, dtype="<f2" if qflag else "<f4", offset=HEADER_BYTES).copy()
+    params = np.frombuffer(blob, dtype=dtype, offset=HEADER_BYTES).copy()
     bad = ~np.isfinite(params)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -172,9 +193,10 @@ def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, heig
     """Evaluate the net on the full grid; (n_pixels, bands) float32 in [0, 1].
 
     This is the decode path; the encoder scores snapshots through the same
-    call so reported quality matches what a decoder will actually see.
+    call so reported quality matches what a decoder will actually see. A
+    float16 payload is widened exactly to float32 here.
     """
-    coords = build_grid(width, height).coords.astype(np.float32)
+    coords = build_grid(width, height).astype(np.float32)
     out = mlp_forward(spec, np.asarray(params, dtype=np.float32), coords)
     np.clip(out, 0.0, 1.0, out=out)
     return out
@@ -182,8 +204,7 @@ def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, heig
 
 def decompress(enc: EncodedImage) -> HyperCube:
     """Decode to a cube in raw units."""
-    params = dequantize(enc.params) if enc.quantized else enc.params
-    recon = reconstruct_normalized(enc.to_spec(), params, enc.width, enc.height)
+    recon = reconstruct_normalized(enc.to_spec(), enc.params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
     raw = recon.T.astype(np.float64) * span + enc.scale.raw_min
     return HyperCube(enc.width, enc.height, enc.bands, raw)

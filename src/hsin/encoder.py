@@ -9,23 +9,19 @@ briefly under a rate budget and keeps the winner.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .adam import TrainingDiverged, adam_step, fresh_state
-from .codec import EncodedImage, dequantize, quantize, reconstruct_normalized
+from .codec import EncodedImage, check_format, payload_bits, quantize, reconstruct_normalized
 from .cube import HyperCube, normalize
 from .metrics import QualityReport, bpppb, mse, psnr, psnr_from_mse, ssim_mean
 from .nn import Batch, mlp_loss_and_grad
 from .sampling import SampleConfig, build_grid, gather_batch, sample_indices
-from .siren import DEFAULT_W0, SirenSpec, init_params, param_count
-
-PRECISIONS = ("full32", "half16")
+from .siren import SirenSpec, init_params, param_count
 
 # n_h x w_h ladder the search sweeps by default
 DEFAULT_CANDIDATES: list[tuple[int, int]] = [
@@ -37,14 +33,14 @@ DEFAULT_PROBE_ITERATIONS = 2000
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run's knobs."""
+    """One training run's knobs; half stores (and scores) float16 weights."""
 
     iterations: int
     lr: float = 2e-4
     eval_every: int = 100
     sample: SampleConfig | None = None
     seed: int = 0
-    precision: str = "full32"
+    half: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.iterations, int) or self.iterations < 1:
@@ -55,8 +51,6 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
 
 
 @dataclass(eq=False)
@@ -73,8 +67,8 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     """Train one network on one normalized cube, keeping the best snapshot.
 
     Every eval_every epochs (and at the final epoch) full-grid PSNR is
-    measured; for half16 the candidate weights are first pushed through a
-    quantize/dequantize round trip so the score equals post-decode quality.
+    measured; with cfg.half the candidate weights are first quantized to
+    float16, so the score equals post-decode quality.
     The returned snapshot is the argmax over those evaluations, never simply
     the last epoch.
     """
@@ -84,16 +78,12 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     if lo < 0.0 or hi > 1.0:
         raise ValueError("overfit expects a normalized cube with values in [0, 1]")
 
-    grid = build_grid(cube.width, cube.height)
+    coords = build_grid(cube.width, cube.height)
     targets64 = np.ascontiguousarray(cube.band_matrix().T)  # (n_pixels, bands)
-    half = cfg.precision == "half16"
 
     full_batch = None
     if cfg.sample is None:
-        full_batch = Batch(
-            grid.coords.astype(np.float32),
-            targets64.astype(np.float32),
-        )
+        full_batch = Batch(coords.astype(np.float32), targets64.astype(np.float32))
 
     params = init_params(spec, cfg.seed)
     state = fresh_state(params, lr=cfg.lr)
@@ -108,14 +98,14 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
             batch = full_batch
         else:
             idx = sample_indices(cube.width, cube.height, cfg.sample, epoch=epoch)
-            batch = gather_batch(cube, grid, idx, dtype=np.float32)
+            batch = gather_batch(cube, coords, idx)
         loss, grads = mlp_loss_and_grad(spec, params, batch)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at iteration {epoch}")
         params, state = adam_step(state, params, grads)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.iterations:
-            eval_params = dequantize(quantize(params)) if half else params
+            eval_params = quantize(params) if cfg.half else params
             score = psnr(reconstruct_normalized(spec, eval_params, cube.width, cube.height),
                          targets64)
             history.append((epoch, score))
@@ -135,17 +125,19 @@ def architecture_search(cube: HyperCube, budget_bpppb: float,
     Candidates over budget are dropped; the rest each get a short probe run
     on the (normalized) cube and the highest full-grid PSNR wins. Ties go to
     fewer parameters, then fewer layers. A lone feasible candidate is
-    returned without training.
+    returned without training. A candidate the file format cannot store
+    raises ValueError before any probe runs.
     """
     if candidates is None:
         candidates = DEFAULT_CANDIDATES
     if probe_cfg is None:
         probe_cfg = TrainConfig(iterations=DEFAULT_PROBE_ITERATIONS)
-    bits = 16 if probe_cfg.precision == "half16" else 32
+    bits = payload_bits(probe_cfg.half)
 
     feasible = []
     for n_h, w_h in candidates:
         spec = SirenSpec(n_hidden=n_h, hidden_width=w_h, out_dim=cube.bands)
+        check_format(cube.width, cube.height, spec)
         rate = bpppb(param_count(spec), bits, cube.width, cube.height, cube.bands)
         if rate <= budget_bpppb:
             feasible.append(spec)
@@ -165,28 +157,18 @@ def architecture_search(cube: HyperCube, budget_bpppb: float,
     return best_spec
 
 
-def write_history_csv(history: list[tuple[int, float]], path: str | Path) -> None:
-    """epoch,psnr rows for plotting training curves."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "psnr"])
-        for epoch, score in history:
-            writer.writerow([epoch, repr(float(score))])
-
-
-def compress(cube: HyperCube, spec_or_budget: SirenSpec | float, cfg: TrainConfig,
-             candidates: list[tuple[int, int]] | None = None,
-             probe_iterations: int = DEFAULT_PROBE_ITERATIONS,
-             history_csv: str | Path | None = None) -> tuple[EncodedImage, QualityReport]:
+def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
+             cfg: TrainConfig) -> tuple[EncodedImage, QualityReport]:
     """Full pipeline: normalize, (optionally) search, overfit, package.
 
     spec_or_budget is either an explicit SirenSpec or a bpppb budget that
-    triggers architecture search. The report's distortion numbers are
+    triggers architecture search over DEFAULT_CANDIDATES, each probed for
+    DEFAULT_PROBE_ITERATIONS. A scene or net the file format cannot store is
+    rejected before any training. The report's distortion numbers are
     computed through the decode-side reconstruction of the exact payload
-    parameters, so they equal what decompress will deliver.
+    parameters, so they equal what decompress will deliver; report.history
+    holds the run's (epoch, psnr) evaluations.
     """
-    if max(cube.width, cube.height, cube.bands) > 65535:
-        raise ValueError("cube dimensions exceed the 16-bit header fields")
     t0 = time.perf_counter()
     normalized, scale = normalize(cube)
 
@@ -194,40 +176,33 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float, cfg: TrainConfi
         spec = spec_or_budget
         if spec.out_dim != cube.bands:
             raise ValueError(f"spec.out_dim {spec.out_dim} != cube bands {cube.bands}")
-        if spec.in_dim != 2:
-            raise ValueError("the file format only covers 2-D coordinate inputs")
-        if spec.w0 != DEFAULT_W0:
-            raise ValueError(f"the file format fixes w0 = {DEFAULT_W0}; got {spec.w0}")
+        check_format(cube.width, cube.height, spec)
     else:
-        budget = float(spec_or_budget)
-        probe_cfg = replace(cfg, iterations=probe_iterations)
-        spec = architecture_search(normalized, budget, candidates, probe_cfg)
+        probe_cfg = replace(cfg, iterations=DEFAULT_PROBE_ITERATIONS)
+        spec = architecture_search(normalized, float(spec_or_budget), probe_cfg=probe_cfg)
 
     snap = overfit(normalized, spec, cfg)
-    half = cfg.precision == "half16"
-    payload = quantize(snap.params) if half else snap.params.astype(np.float32, copy=False)
+    payload = quantize(snap.params) if cfg.half else snap.params
     enc = EncodedImage(
         width=cube.width, height=cube.height, bands=cube.bands,
         n_hidden=spec.n_hidden, hidden_width=spec.hidden_width,
-        quantized=half, scale=scale, params=payload,
+        quantized=cfg.half, scale=scale, params=payload,
     )
     compress_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    decode_params = dequantize(payload) if half else payload
-    recon = reconstruct_normalized(spec, decode_params, cube.width, cube.height)
+    recon = reconstruct_normalized(spec, payload, cube.width, cube.height)
     decompress_seconds = time.perf_counter() - t1
 
     m = mse(recon, np.ascontiguousarray(normalized.band_matrix().T))
-    bits = 16 if half else 32
     report = QualityReport(
         mse=m,
         psnr=psnr_from_mse(m),
         ssim_mean=ssim_mean(normalized, recon.T),
-        bpppb=bpppb(param_count(spec), bits, cube.width, cube.height, cube.bands),
+        bpppb=bpppb(param_count(spec), payload_bits(cfg.half),
+                    cube.width, cube.height, cube.bands),
         compress_seconds=compress_seconds,
         decompress_seconds=decompress_seconds,
+        history=snap.history,
     )
-    if history_csv is not None:
-        write_history_csv(snap.history, history_csv)
     return enc, report

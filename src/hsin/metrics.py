@@ -9,7 +9,7 @@ the per-band scores are averaged over the spectral axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,6 +123,7 @@ class QualityReport:
     bpppb: float | None = None
     compress_seconds: float | None = None
     decompress_seconds: float | None = None
+    history: list[tuple[int, float]] = field(default_factory=list)  # (epoch, psnr); not in to_text
 
     def to_text(self) -> str:
         """key=value lines, floats at full round-trip precision."""

@@ -18,15 +18,6 @@ from .cube import HyperCube
 from .nn import Batch
 
 
-@dataclass(eq=False)
-class CoordGrid:
-    """All pixel-center coordinates of a width x height image, row-major."""
-
-    width: int
-    height: int
-    coords: np.ndarray  # (width*height, 2) float64 in [-1, 1]
-
-
 @dataclass(frozen=True)
 class SampleConfig:
     """Windowed sampling knobs; rate is the per-block fraction kept."""
@@ -51,8 +42,8 @@ def _axis_coords(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.float64) * (2.0 / (n - 1)) - 1.0
 
 
-def build_grid(width: int, height: int) -> CoordGrid:
-    """Row-major (x, y) pairs covering the image, endpoints at exactly +-1."""
+def build_grid(width: int, height: int) -> np.ndarray:
+    """(width*height, 2) float64 row-major (x, y) pairs, endpoints exactly +-1."""
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
     xs = _axis_coords(width)
@@ -60,7 +51,7 @@ def build_grid(width: int, height: int) -> CoordGrid:
     coords = np.empty((height * width, 2), dtype=np.float64)
     coords[:, 0] = np.tile(xs, height)
     coords[:, 1] = np.repeat(ys, width)
-    return CoordGrid(width, height, coords)
+    return coords
 
 
 def _block_k(rate: float, npix: int) -> int:
@@ -110,22 +101,18 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, epoch: int = 0) -
     return np.sort(np.concatenate(chunks)).astype(np.int64)
 
 
-def gather_batch(cube: HyperCube, grid: CoordGrid, indices: np.ndarray, dtype=None) -> Batch:
-    """Pair selected pixel coordinates with their target spectra.
+def gather_batch(cube: HyperCube, coords: np.ndarray, indices: np.ndarray) -> Batch:
+    """Pair selected pixel coordinates with their target spectra, as float32.
 
-    dtype defaults to the cube's own (float64); training passes float32.
+    coords is the build_grid array of the cube's pixels.
     """
-    if (grid.width, grid.height) != (cube.width, cube.height):
-        raise ValueError(
-            f"grid {grid.width}x{grid.height} does not match cube {cube.width}x{cube.height}"
-        )
+    if coords.shape[0] != cube.n_pixels:
+        raise ValueError(f"grid has {coords.shape[0]} pixels, cube has {cube.n_pixels}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError("indices must be a non-empty 1-D array")
     if idx.min() < 0 or idx.max() >= cube.n_pixels:
         raise IndexError(f"pixel index out of range [0, {cube.n_pixels})")
-    if dtype is None:
-        dtype = cube.data.dtype
-    inputs = grid.coords[idx].astype(dtype, copy=False)
-    targets = cube.band_matrix()[:, idx].T.astype(dtype)
+    inputs = coords[idx].astype(np.float32)
+    targets = cube.band_matrix()[:, idx].T.astype(np.float32)
     return Batch(inputs, np.ascontiguousarray(targets))

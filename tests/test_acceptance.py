@@ -133,7 +133,7 @@ def crit3_full():
 @pytest.fixture(scope="module")
 def crit6_half():
     norm, _ = normalize(CUBE_C3)
-    cfg = TrainConfig(iterations=5000, eval_every=100, seed=1, precision="half16")
+    cfg = TrainConfig(iterations=5000, eval_every=100, seed=1, half=True)
     snap = overfit(norm, SPEC_C3, cfg)
     ALL_SNAPSHOTS.append(snap)
     return snap

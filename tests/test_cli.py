@@ -11,6 +11,7 @@ import pytest
 
 import hsin
 import hsin.cli as cli
+import hsin.encoder
 from hsin import HalfRangeError, TrainingDiverged, open_cube, synth_cube, save_cube
 
 
@@ -96,7 +97,61 @@ def test_sampled_compress_flags(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("half", [False, True])
+def test_compress_writes_history_csv(tmp_path, capsys, monkeypatch, half):
+    # the CSV is the run's evaluation history, and its best row is the
+    # printed psnr (both are written at full round-trip precision)
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("smooth-gradient", 8, 8, 2), raw)
+    reports = []
+
+    def keep(*args, **kwargs):
+        enc, report = hsin.compress(*args, **kwargs)
+        reports.append(report)
+        return enc, report
+
+    monkeypatch.setattr(cli, "compress", keep)
+    path = tmp_path / "history.csv"
+    assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "8",
+                    "--iters", "120", "--eval-every", "40", "--history-csv", str(path),
+                    "--out", str(tmp_path / "c.hsin")] + (["--half"] if half else [])) == 0
+    printed = float(parse_report(capsys.readouterr().out)["psnr"])
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epoch,psnr"
+    rows = [(int(e), float(v)) for e, v in (line.split(",") for line in lines[1:])]
+    assert rows == reports[0].history
+    assert [e for e, _ in rows] == [40, 80, 120]
+    assert max(v for _, v in rows) == printed
+
+
 # ----------------------------------------------------------------- failures
+
+@pytest.mark.parametrize("layers, width, out_dir, csv_dir, code, needle", [
+    ("1", "256", "", None, 1, "hidden_width"),      # wider than the uint8 field
+    ("256", "4", "", None, 1, "n_hidden"),          # deeper than the uint8 field
+    ("1", "4", "missing", None, 2, "does not exist"),
+    ("1", "4", "", "missing", 2, "does not exist"),
+], ids=["width-256", "layers-256", "out-dir-missing", "csv-dir-missing"])
+def test_compress_fails_before_training(tmp_path, capsys, monkeypatch,
+                                        layers, width, out_dir, csv_dir, code, needle):
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 4, 4, 2, seed=7), raw)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("overfit must not run")
+
+    monkeypatch.setattr(hsin.encoder, "overfit", no_training)
+    old = tmp_path / "x.hsin"
+    old.write_bytes(b"old")
+    argv = ["compress", "--input", str(raw), "--layers", layers, "--width", width,
+            "--iters", "3000", "--out", str(tmp_path / out_dir / "x.hsin")]
+    if csv_dir is not None:
+        argv += ["--history-csv", str(tmp_path / csv_dir / "h.csv")]
+    assert cli.run(argv) == code
+    assert needle in capsys.readouterr().err
+    assert old.read_bytes() == b"old"  # a failed run leaves --out untouched
+    assert not (tmp_path / "missing").exists()
+
 
 def test_usage_errors_exit_1(tmp_path, capsys):
     raw = tmp_path / "c.raw"

@@ -17,7 +17,7 @@ from hsin import (
     encoded_size,
     serialize,
 )
-from hsin.codec import dequantize, quantize
+from hsin.codec import quantize
 from hsin.cube import ScaleInfo
 from hsin.siren import init_params, param_count
 from conftest import half_bits
@@ -76,21 +76,11 @@ def test_quantize_rejects_overflow_and_non_finite():
         quantize(np.array([-70000.0]))
 
 
-def test_dequantize_is_exact_widening():
-    rng = np.random.default_rng(32)
-    halves = rng.uniform(-100, 100, 500).astype(np.float16)
-    wide = dequantize(halves)
-    assert wide.dtype == np.float32
-    assert np.array_equal(wide.astype(np.float16), halves)
-    # every float16 is exactly representable in float32
-    assert np.array_equal(wide, halves.astype(np.float64).astype(np.float32))
-
-
 def test_round_trip_error_bound():
-    # |dequantize(quantize(v)) - v| <= 2^-11 * |v| for normal-range values
+    # |quantize(v) - v| <= 2^-11 * |v| for normal-range values
     rng = np.random.default_rng(33)
     vals = rng.uniform(0.01, 1000.0, 1000) * rng.choice([-1.0, 1.0], 1000)
-    back = dequantize(quantize(vals)).astype(np.float64)
+    back = quantize(vals).astype(np.float64)
     assert np.all(np.abs(back - vals) <= 2.0**-11 * np.abs(vals))
 
 
@@ -281,5 +271,5 @@ def test_decompress_half_equals_dequantized_full32_eval():
     params = init_params(spec, seed=9)
     half = quantize(params)
     enc_h = EncodedImage(5, 5, 2, 2, 8, True, ScaleInfo(0.0, 1.0), half)
-    enc_f = EncodedImage(5, 5, 2, 2, 8, False, ScaleInfo(0.0, 1.0), dequantize(half))
+    enc_f = EncodedImage(5, 5, 2, 2, 8, False, ScaleInfo(0.0, 1.0), half.astype(np.float32))
     assert np.array_equal(decompress(enc_h).data, decompress(enc_f).data)

@@ -112,8 +112,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(iterations=10, eval_every=0)
     with pytest.raises(ValueError):
-        TrainConfig(iterations=10, precision="float8")
-    with pytest.raises(ValueError):
         TrainConfig(iterations=10, lr=-1.0)
 
 
@@ -148,6 +146,14 @@ def test_search_empty_feasible_set_raises():
                             probe_cfg=TrainConfig(iterations=10))
 
 
+def test_search_rejects_unstorable_candidate_before_probing():
+    # the header stores hidden_width as uint8; probes this long would never end
+    norm, _ = normalize(small_cube())
+    with pytest.raises(ValueError, match="hidden_width"):
+        architecture_search(norm, 1e9, candidates=[(1, 8), (1, 256)],
+                            probe_cfg=TrainConfig(iterations=10_000_000))
+
+
 def test_search_wider_wins_on_smooth_cube():
     # capacity trend: at a generous budget the wide net scores at least as
     # well as the narrow one after short probes, so the search picks it
@@ -166,7 +172,7 @@ def test_search_uses_half16_bits_for_budget():
     n = param_count(SirenSpec(n_hidden=2, hidden_width=16, out_dim=4))
     # budget that only fits (2,16) at 16 bits per parameter, not at 32
     budget = bpppb(n, 16, 16, 16, 4) + 1e-9
-    half_probe = TrainConfig(iterations=20, eval_every=20, precision="half16")
+    half_probe = TrainConfig(iterations=20, eval_every=20, half=True)
     spec = architecture_search(norm, budget, candidates=[(2, 16)], probe_cfg=half_probe)
     assert (spec.n_hidden, spec.hidden_width) == (2, 16)
     with pytest.raises(ValueError):
@@ -192,7 +198,7 @@ def test_compress_report_is_honest():
 def test_compress_report_is_honest_half16():
     cube = synth_cube("smooth-gradient", 16, 16, 4)
     spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=4)
-    cfg = TrainConfig(iterations=400, eval_every=100, precision="half16")
+    cfg = TrainConfig(iterations=400, eval_every=100, half=True)
     enc, report = compress(cube, spec, cfg)
     assert enc.quantized and enc.params.dtype == np.float16
     recon = decompress(enc)
@@ -206,7 +212,7 @@ def test_half16_halves_payload_exactly():
     spec = SirenSpec(n_hidden=2, hidden_width=12, out_dim=3)
     n = param_count(spec)
     enc_f, _ = compress(cube, spec, TrainConfig(iterations=50, eval_every=50))
-    enc_h, _ = compress(cube, spec, TrainConfig(iterations=50, eval_every=50, precision="half16"))
+    enc_h, _ = compress(cube, spec, TrainConfig(iterations=50, eval_every=50, half=True))
     full_bytes = len(serialize(enc_f))
     half_bytes = len(serialize(enc_h))
     assert full_bytes - half_bytes == 2 * n
@@ -224,14 +230,12 @@ def test_compress_deterministic_bitstream():
 
 
 def test_compress_with_budget_triggers_search():
+    # on 16x16x4 only the smallest default candidate, (5,20) at 57.0 bpppb,
+    # fits under 60, so the search returns it without probing
     cube = synth_cube("smooth-gradient", 16, 16, 4)
-    n_small = param_count(SirenSpec(n_hidden=1, hidden_width=8, out_dim=4))
-    budget = bpppb(n_small, 32, 16, 16, 4) + 1e-9
-    cfg = TrainConfig(iterations=100, eval_every=100)
-    enc, report = compress(cube, budget, cfg, candidates=[(1, 8), (3, 64)],
-                           probe_iterations=30)
-    assert (enc.n_hidden, enc.hidden_width) == (1, 8)
-    assert report.bpppb <= budget
+    enc, report = compress(cube, 60.0, TrainConfig(iterations=100, eval_every=100))
+    assert (enc.n_hidden, enc.hidden_width) == (5, 20)
+    assert report.bpppb == 57.0
 
 
 def test_compress_rejects_bad_specs():
@@ -241,20 +245,19 @@ def test_compress_rejects_bad_specs():
         compress(cube, SirenSpec(n_hidden=1, hidden_width=8, out_dim=3), cfg)
     with pytest.raises(ValueError, match="w0"):
         compress(cube, SirenSpec(n_hidden=1, hidden_width=8, out_dim=4, w0=25.0), cfg)
+    with pytest.raises(ValueError, match="2-D"):
+        compress(cube, SirenSpec(n_hidden=1, hidden_width=8, out_dim=4, in_dim=3), cfg)
 
 
-def test_compress_writes_history_csv(tmp_path):
+@pytest.mark.parametrize("half", [False, True])
+def test_compress_report_is_best_history_score(half):
+    # the report scores the decoder's view of the payload, which is the
+    # snapshot overfit picked as the best of its evaluations
     cube = synth_cube("smooth-gradient", 8, 8, 2)
     spec = SirenSpec(n_hidden=1, hidden_width=8, out_dim=2)
-    path = tmp_path / "history.csv"
-    compress(cube, spec, TrainConfig(iterations=120, eval_every=40), history_csv=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,psnr"
-    assert len(lines) == 4  # evals at 40, 80, 120
-    epochs = [int(line.split(",")[0]) for line in lines[1:]]
-    assert epochs == [40, 80, 120]
-    for line in lines[1:]:
-        float(line.split(",")[1])  # parses back
+    _, report = compress(cube, spec, TrainConfig(iterations=120, eval_every=40, half=half))
+    assert [e for e, _ in report.history] == [40, 80, 120]
+    assert report.psnr == max(s for _, s in report.history)
 
 
 def test_decompress_compress_constant_cube():

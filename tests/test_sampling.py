@@ -12,23 +12,23 @@ from hsin.sampling import SampleConfig, build_grid, gather_batch, sample_indices
 def test_grid_formula_and_order():
     g = build_grid(3, 2)
     # row-major: y fixed per row, x fastest; endpoints exactly +-1
-    assert g.coords.tolist() == [
+    assert g.tolist() == [
         [-1.0, -1.0], [0.0, -1.0], [1.0, -1.0],
         [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0],
     ]
 
 
 def test_grid_single_row_and_pixel():
-    assert build_grid(1, 1).coords.tolist() == [[0.0, 0.0]]
+    assert build_grid(1, 1).tolist() == [[0.0, 0.0]]
     g = build_grid(5, 1)
-    assert g.coords[:, 1].tolist() == [0.0] * 5
-    assert g.coords[0, 0] == -1.0 and g.coords[-1, 0] == 1.0
-    assert g.coords[2, 0] == 0.0
+    assert g[:, 1].tolist() == [0.0] * 5
+    assert g[0, 0] == -1.0 and g[-1, 0] == 1.0
+    assert g[2, 0] == 0.0
 
 
 def test_grid_spacing_uniform():
     g = build_grid(9, 4)
-    xs = g.coords[:9, 0]
+    xs = g[:9, 0]
     assert np.allclose(np.diff(xs), 2.0 / 8)
 
 
@@ -117,16 +117,16 @@ def test_gather_matches_direct_lookup():
     assert batch.targets.shape == (17, 4)
     bm = cube.band_matrix()
     for row, i in enumerate(idx):
-        assert np.array_equal(batch.inputs[row], grid.coords[i])
-        assert np.array_equal(batch.targets[row], bm[:, i])
+        assert np.array_equal(batch.inputs[row], grid[i].astype(np.float32))
+        assert np.array_equal(batch.targets[row], bm[:, i].astype(np.float32))
 
 
 def test_gather_full_grid_equals_everything():
     cube = synth_cube("smooth-gradient", 5, 4, 3)
     grid = build_grid(5, 4)
     batch = gather_batch(cube, grid, np.arange(20))
-    assert np.array_equal(batch.inputs, grid.coords)
-    assert np.array_equal(batch.targets, cube.band_matrix().T)
+    assert np.array_equal(batch.inputs, grid.astype(np.float32))
+    assert np.array_equal(batch.targets, cube.band_matrix().T.astype(np.float32))
 
 
 def test_gather_single_index():
@@ -134,13 +134,13 @@ def test_gather_single_index():
     grid = build_grid(4, 4)
     batch = gather_batch(cube, grid, np.array([9]))
     assert batch.size == 1
-    assert np.array_equal(batch.targets[0], cube.band_matrix()[:, 9])
+    assert np.array_equal(batch.targets[0], cube.band_matrix()[:, 9].astype(np.float32))
 
 
 def test_gather_dtype_and_errors():
     cube = synth_cube("random", 4, 4, 2, seed=1)
     grid = build_grid(4, 4)
-    batch = gather_batch(cube, grid, np.array([0, 1]), dtype=np.float32)
+    batch = gather_batch(cube, grid, np.array([0, 1]))
     assert batch.inputs.dtype == np.float32
     assert batch.targets.dtype == np.float32
     with pytest.raises(IndexError):
