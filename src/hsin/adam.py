@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
+LR = 2e-4
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -29,20 +30,17 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float
 
     def __post_init__(self) -> None:
         if self.step < 0:
             raise ValueError("step must be >= 0")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr!r}")
         if self.m.shape != self.v.shape:
             raise ValueError("moment vectors must have identical shape")
 
 
-def fresh_state(params: np.ndarray, lr: float = 2e-4) -> AdamState:
+def fresh_state(params: np.ndarray) -> AdamState:
     """Zeroed moments matching the parameter vector's shape and dtype."""
-    return AdamState(step=0, m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
+    return AdamState(step=0, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
@@ -67,5 +65,5 @@ def adam_step(
     v = BETA2 * state.v + (1.0 - BETA2) * (grads * grads)
     m_hat = m * (1.0 / (1.0 - BETA1**t))
     v_hat = v * (1.0 / (1.0 - BETA2**t))
-    new_params = params - float(state.lr) * m_hat / (np.sqrt(v_hat) + EPS)
-    return new_params, AdamState(step=t, m=m, v=v, lr=state.lr)
+    new_params = params - LR * m_hat / (np.sqrt(v_hat) + EPS)
+    return new_params, AdamState(step=t, m=m, v=v)

@@ -56,6 +56,16 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return w, h, c
 
 
+def _check_writable(path: str | None) -> None:
+    # fail before the work, not after it, when an output cannot be written
+    if path is None:
+        return
+    if not Path(path).parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hsin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,15 +124,13 @@ def _cmd_compress(args) -> int:
     if (args.sample_window is None) != (args.sample_rate is None):
         raise _UsageError("--sample-window and --sample-rate must be given together")
 
-    for path in (args.out, args.history):
-        # fail before training, not after, when an output cannot be written
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+    _check_writable(args.out)
+    _check_writable(args.history)
 
     cube = open_cube(args.input)
     sample = None
     if args.sample_window is not None:
-        sample = SampleConfig(window=args.sample_window, rate=args.sample_rate, seed=args.seed)
+        sample = SampleConfig(window=args.sample_window, rate=args.sample_rate)
     cfg = TrainConfig(
         iterations=args.iters,
         eval_every=args.eval_every,
@@ -150,6 +158,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
+    _check_writable(args.out)
     try:
         blob = Path(args.input).read_bytes()
     except OSError as exc:

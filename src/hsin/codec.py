@@ -33,7 +33,7 @@ import numpy as np
 from .cube import HyperCube, ScaleInfo
 from .nn import mlp_forward
 from .sampling import build_grid
-from .siren import DEFAULT_W0, SirenSpec, param_count
+from .siren import SirenSpec, param_count
 
 MAGIC = b"HSIN"
 VERSION = 1
@@ -88,17 +88,13 @@ def check_format(width: int, height: int, spec: SirenSpec) -> None:
     """Raise ValueError unless format version 1 can store this scene and net.
 
     The header holds width, height and bands as uint16 and the net's depth
-    and width as uint8; the inputs are always (x, y) and w0 is fixed.
+    and width as uint8.
     """
     for name, value, hi in (("width", width, 65535), ("height", height, 65535),
                             ("bands", spec.out_dim, 65535), ("n_hidden", spec.n_hidden, 255),
                             ("hidden_width", spec.hidden_width, 255)):
         if not isinstance(value, int) or not 1 <= value <= hi:
             raise ValueError(f"{name} must be an integer in [1, {hi}], got {value!r}")
-    if spec.in_dim != 2:
-        raise ValueError(f"the file format only covers 2-D coordinate inputs; got {spec.in_dim}")
-    if spec.w0 != DEFAULT_W0:
-        raise ValueError(f"the file format fixes w0 = {DEFAULT_W0}; got {spec.w0}")
 
 
 @dataclass(eq=False)
@@ -133,12 +129,7 @@ class EncodedImage:
         )
 
     def to_spec(self) -> SirenSpec:
-        return SirenSpec(
-            n_hidden=self.n_hidden,
-            hidden_width=self.hidden_width,
-            out_dim=self.bands,
-            w0=DEFAULT_W0,
-        )
+        return SirenSpec(n_hidden=self.n_hidden, hidden_width=self.hidden_width, out_dim=self.bands)
 
 
 def encoded_size(enc: EncodedImage) -> int:

@@ -2,8 +2,8 @@
 
 Cubes live on disk as raw band-sequential (BSQ) little-endian float32 with a
 plain-text sidecar header. In memory the samples are held as float64 so that
-normalize/denormalize and the quality metrics are exact to well below any
-tolerance we care about; values coming from disk are float32-representable,
+normalization and the quality metrics are exact to well below any tolerance
+we care about; values coming from disk are float32-representable,
 so save followed by load is bitwise lossless for them.
 """
 
@@ -82,12 +82,6 @@ class HyperCube:
         """View of the data as (bands, n_pixels), one row per band."""
         return self.data.reshape(self.bands, self.n_pixels)
 
-    def band(self, index: int) -> np.ndarray:
-        """View of one band as a (height, width) image."""
-        if not 0 <= index < self.bands:
-            raise IndexError(f"band {index} out of range for {self.bands} bands")
-        return self.band_matrix()[index].reshape(self.height, self.width)
-
 
 def read_header(path: str | Path) -> CubeHeader:
     """Parse a key=value sidecar header."""
@@ -157,28 +151,24 @@ def load_cube(data_path: str | Path, header: CubeHeader) -> HyperCube:
     return HyperCube(header.width, header.height, header.bands, data)
 
 
-def open_cube(data_path: str | Path, header_path: str | Path | None = None) -> HyperCube:
-    """Load a cube given its data file, finding the sidecar next to it."""
+def open_cube(data_path: str | Path) -> HyperCube:
+    """Load a cube given its data file, reading the .hdr sidecar next to it."""
     data_path = Path(data_path)
-    if header_path is None:
-        header_path = data_path.with_suffix(".hdr")
-    return load_cube(data_path, read_header(header_path))
+    return load_cube(data_path, read_header(data_path.with_suffix(".hdr")))
 
 
-def save_cube(cube: HyperCube, data_path: str | Path, header_path: str | Path | None = None) -> None:
-    """Write raw little-endian float32 BSQ plus the sidecar header."""
+def save_cube(cube: HyperCube, data_path: str | Path) -> None:
+    """Write raw little-endian float32 BSQ plus the .hdr sidecar next to it."""
     data_path = Path(data_path)
-    if header_path is None:
-        header_path = data_path.with_suffix(".hdr")
     data_path.write_bytes(cube.data.astype("<f4").tobytes())
-    write_header(CubeHeader(cube.width, cube.height, cube.bands), header_path)
+    write_header(CubeHeader(cube.width, cube.height, cube.bands), data_path.with_suffix(".hdr"))
 
 
 def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:
     """Min-max scale all samples into [0, 1].
 
     A constant cube maps to all zeros. The returned ScaleInfo restores raw
-    units via denormalize.
+    units: v * (raw_max - raw_min) + raw_min, as codec.decompress applies it.
     """
     lo, hi = cube.value_range
     if hi > lo:
@@ -186,13 +176,6 @@ def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:
     else:
         scaled = np.zeros_like(cube.data)
     return HyperCube(cube.width, cube.height, cube.bands, scaled), ScaleInfo(lo, hi)
-
-
-def denormalize(cube: HyperCube, scale: ScaleInfo) -> HyperCube:
-    """Invert normalize: v * (raw_max - raw_min) + raw_min."""
-    span = scale.raw_max - scale.raw_min
-    data = cube.data * span + scale.raw_min
-    return HyperCube(cube.width, cube.height, cube.bands, data)
 
 
 def _axis_unit(n: int) -> np.ndarray:

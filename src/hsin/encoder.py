@@ -36,7 +36,6 @@ class TrainConfig:
     """One training run's knobs; half stores (and scores) float16 weights."""
 
     iterations: int
-    lr: float = 2e-4
     eval_every: int = 100
     sample: SampleConfig | None = None
     seed: int = 0
@@ -47,8 +46,6 @@ class TrainConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if not isinstance(self.eval_every, int) or self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every!r}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -86,7 +83,7 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         full_batch = Batch(coords.astype(np.float32), targets64.astype(np.float32))
 
     params = init_params(spec, cfg.seed)
-    state = fresh_state(params, lr=cfg.lr)
+    state = fresh_state(params)
 
     best_params = None
     best_psnr = -math.inf
@@ -97,7 +94,7 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         if full_batch is not None:
             batch = full_batch
         else:
-            idx = sample_indices(cube.width, cube.height, cfg.sample, epoch=epoch)
+            idx = sample_indices(cube.width, cube.height, cfg.sample, cfg.seed, epoch)
             batch = gather_batch(cube, coords, idx)
         loss, grads = mlp_loss_and_grad(spec, params, batch)
         if not math.isfinite(loss):

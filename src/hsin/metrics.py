@@ -87,8 +87,6 @@ def _band_rows(a) -> np.ndarray:
     if isinstance(a, HyperCube):
         return a.band_matrix()
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 3:
-        return arr.reshape(arr.shape[0], -1)
     if arr.ndim != 2:
         raise ValueError("expected a HyperCube or a (bands, n_pixels) array")
     return arr

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .siren import SirenSpec, unflatten
+from .siren import W0, SirenSpec, unflatten
 
 
 @dataclass(eq=False)
@@ -32,12 +32,8 @@ class Batch:
         if self.inputs.shape[0] < 1:
             raise ValueError("batch must contain at least one sample")
 
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
-
-def _forward(layers, w0: float, a: np.ndarray, cache: list | None = None) -> np.ndarray:
+def _forward(layers, a: np.ndarray, cache: list | None = None) -> np.ndarray:
     """sin(w0 * (a @ W.T + b)) per hidden layer, then the affine output layer.
 
     Evaluation and training share this loop. Given a cache list, it appends
@@ -48,7 +44,7 @@ def _forward(layers, w0: float, a: np.ndarray, cache: list | None = None) -> np.
         z = a @ weights.T + biases
         if cache is not None:
             cache.append((a, z))
-        a = np.sin(w0 * z)
+        a = np.sin(W0 * z)
     weights, biases = layers[-1]
     if cache is not None:
         cache.append((a, None))
@@ -64,7 +60,7 @@ def _inputs(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
 
 def mlp_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on (n, in_dim) coordinates; returns (n, out_dim)."""
-    return _forward(unflatten(spec, params), float(spec.w0), _inputs(spec, params, inputs))
+    return _forward(unflatten(spec, params), _inputs(spec, params, inputs))
 
 
 def mlp_loss(spec: SirenSpec, params: np.ndarray, batch: Batch) -> float:
@@ -79,14 +75,13 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tupl
     """MSE loss and its exact gradient with respect to every parameter.
 
     Arithmetic stays in the dtype of `params` (float32 in training,
-    float64 in gradient checks); w0 is applied as a python float so no
-    accidental upcast happens.
+    float64 in gradient checks); W0 is a python float so no accidental
+    upcast happens.
     """
     layers = unflatten(spec, params)
-    w0 = float(spec.w0)
     targets = np.asarray(batch.targets, dtype=params.dtype)
     cache: list = []
-    pred = _forward(layers, w0, _inputs(spec, params, batch.inputs), cache)
+    pred = _forward(layers, _inputs(spec, params, batch.inputs), cache)
 
     diff = pred - targets
     loss = float(np.mean(diff * diff))
@@ -101,7 +96,7 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tupl
         grads[i] = np.concatenate([gw.ravel(), gb])
         if i > 0:
             dx = dy @ layers[i][0]
-            dy = dx * (w0 * np.cos(w0 * cache[i - 1][1]))
+            dy = dx * (W0 * np.cos(W0 * cache[i - 1][1]))
     return loss, np.concatenate(grads).astype(params.dtype, copy=False)
 
 

@@ -24,15 +24,12 @@ class SampleConfig:
 
     window: int
     rate: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.window, int) or self.window < 1:
             raise ValueError(f"window must be a positive integer, got {self.window!r}")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must lie in (0, 1], got {self.rate!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _axis_coords(n: int) -> np.ndarray:
@@ -59,10 +56,10 @@ def _block_k(rate: float, npix: int) -> int:
     return min(npix, max(1, int(math.floor(rate * npix + 0.5))))
 
 
-def sample_indices(width: int, height: int, cfg: SampleConfig, epoch: int = 0) -> np.ndarray:
+def sample_indices(width: int, height: int, cfg: SampleConfig, seed: int, epoch: int) -> np.ndarray:
     """Sorted flat pixel indices drawn for one epoch.
 
-    Deterministic in (cfg.seed, epoch), a fresh draw every epoch. Blocks of
+    Deterministic in (seed, epoch), a fresh draw every epoch. Blocks of
     equal shape are drawn in one vectorized pass: uniform keys per pixel, k
     smallest kept, which makes every k-subset of a block equally likely.
     """
@@ -70,7 +67,7 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, epoch: int = 0) -
         raise ValueError("image dimensions must be >= 1")
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    rng = np.random.default_rng([cfg.seed, epoch])
+    rng = np.random.default_rng([seed, epoch])
 
     x_starts = np.arange(0, width, cfg.window)
     y_starts = np.arange(0, height, cfg.window)
@@ -91,10 +88,7 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, epoch: int = 0) -
         ox = np.array([o[0] for o in origins])
         oy = np.array([o[1] for o in origins])
         keys = rng.random((len(origins), npix))
-        if k == npix:
-            sel = np.arange(npix)[None, :].repeat(len(origins), axis=0)
-        else:
-            sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
+        sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
         dy, dx = sel // bw, sel % bw
         flat = (oy[:, None] + dy) * width + (ox[:, None] + dx)
         chunks.append(flat.ravel())

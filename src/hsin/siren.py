@@ -1,8 +1,8 @@
 """Network shape, initialization, and the canonical flat parameter order.
 
 The model is a fully connected MLP from 2-D pixel coordinates to one value
-per spectral band, with sin(w0 * z) activations after every layer except the
-last. Weights are initialized uniform in (-1/fan_in, 1/fan_in) for the first
+per spectral band, with sin(w0 * z) activations (w0 = 30) after every layer except
+the last. Weights are initialized uniform in (-1/fan_in, 1/fan_in) for the first
 layer and (-sqrt(6/fan_in)/w0, +sqrt(6/fan_in)/w0) afterwards, which keeps
 pre-activations in the sine's well-conditioned range at any depth.
 
@@ -14,29 +14,31 @@ output, row-major weights followed by biases. Everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-DEFAULT_W0 = 30.0
+# the sine frequency; FORMAT.md fixes it, so no file or spec carries it
+W0 = 30.0
 
 
 @dataclass(frozen=True)
 class SirenSpec:
-    """Architecture of one network: n_hidden sine layers of hidden_width."""
+    """Architecture of one network: n_hidden sine layers of hidden_width.
+
+    The inputs are always the pixel's (x, y), so in_dim is a constant.
+    """
 
     n_hidden: int
     hidden_width: int
     out_dim: int
-    in_dim: int = 2
-    w0: float = DEFAULT_W0
+    in_dim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
-        for name in ("n_hidden", "hidden_width", "out_dim", "in_dim"):
+        for name in ("n_hidden", "hidden_width", "out_dim"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not self.w0 > 0:
-            raise ValueError(f"w0 must be positive, got {self.w0!r}")
 
 
 def layer_shapes(spec: SirenSpec) -> list[tuple[int, int]]:
@@ -52,18 +54,18 @@ def param_count(spec: SirenSpec) -> int:
     return sum(fo * fi + fo for fo, fi in layer_shapes(spec))
 
 
-def init_params(spec: SirenSpec, seed: int, dtype=np.float32) -> np.ndarray:
-    """Fresh flat parameter vector; same seed gives the same vector."""
+def init_params(spec: SirenSpec, seed: int) -> np.ndarray:
+    """Fresh float32 flat parameter vector; same seed gives the same vector."""
     rng = np.random.default_rng(seed)
     parts = []
     for i, (fan_out, fan_in) in enumerate(layer_shapes(spec)):
         if i == 0:
             bound = 1.0 / fan_in
         else:
-            bound = np.sqrt(6.0 / fan_in) / spec.w0
+            bound = np.sqrt(6.0 / fan_in) / W0
         parts.append(rng.uniform(-bound, bound, fan_out * fan_in))
         parts.append(rng.uniform(-bound, bound, fan_out))
-    return np.concatenate(parts).astype(dtype)
+    return np.concatenate(parts).astype(np.float32)
 
 
 def unflatten(spec: SirenSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from hsin import HyperCube, SirenSpec
+from hsin.siren import W0
 
 
 def scalar_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -36,7 +37,7 @@ def scalar_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> n
                 z[o] += float(params[off + o])
             off += fan_out
             if li < len(dims) - 2:
-                a = [math.sin(spec.w0 * v) for v in z]
+                a = [math.sin(W0 * v) for v in z]
             else:
                 a = z
         outputs.append(a)

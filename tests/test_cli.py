@@ -126,14 +126,17 @@ def test_compress_writes_history_csv(tmp_path, capsys, monkeypatch, half):
 
 # ----------------------------------------------------------------- failures
 
-@pytest.mark.parametrize("layers, width, out_dir, csv_dir, code, needle", [
-    ("1", "256", "", None, 1, "hidden_width"),      # wider than the uint8 field
-    ("256", "4", "", None, 1, "n_hidden"),          # deeper than the uint8 field
-    ("1", "4", "missing", None, 2, "does not exist"),
-    ("1", "4", "", "missing", 2, "does not exist"),
-], ids=["width-256", "layers-256", "out-dir-missing", "csv-dir-missing"])
+@pytest.mark.parametrize("layers, width, out, csv, code, needle", [
+    ("1", "256", "x.hsin", None, 1, "hidden_width"),  # wider than the uint8 field
+    ("256", "4", "x.hsin", None, 1, "n_hidden"),      # deeper than the uint8 field
+    ("1", "4", "missing/x.hsin", None, 2, "does not exist"),
+    ("1", "4", "x.hsin", "missing/h.csv", 2, "does not exist"),
+    ("1", "4", "adir", None, 2, "is a directory"),
+    ("1", "4", "x.hsin", "adir", 2, "is a directory"),
+], ids=["width-256", "layers-256", "out-dir-missing", "csv-dir-missing",
+        "out-is-dir", "csv-is-dir"])
 def test_compress_fails_before_training(tmp_path, capsys, monkeypatch,
-                                        layers, width, out_dir, csv_dir, code, needle):
+                                        layers, width, out, csv, code, needle):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("random", 4, 4, 2, seed=7), raw)
 
@@ -143,14 +146,39 @@ def test_compress_fails_before_training(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(hsin.encoder, "overfit", no_training)
     old = tmp_path / "x.hsin"
     old.write_bytes(b"old")
+    (tmp_path / "adir").mkdir()
     argv = ["compress", "--input", str(raw), "--layers", layers, "--width", width,
-            "--iters", "3000", "--out", str(tmp_path / out_dir / "x.hsin")]
-    if csv_dir is not None:
-        argv += ["--history-csv", str(tmp_path / csv_dir / "h.csv")]
+            "--iters", "3000", "--out", str(tmp_path / out)]
+    if csv is not None:
+        argv += ["--history-csv", str(tmp_path / csv)]
     assert cli.run(argv) == code
     assert needle in capsys.readouterr().err
     assert old.read_bytes() == b"old"  # a failed run leaves --out untouched
     assert not (tmp_path / "missing").exists()
+    assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("out, needle", [
+    ("missing/r.raw", "does not exist"),
+    ("adir", "is a directory"),
+], ids=["out-dir-missing", "out-is-dir"])
+def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, needle):
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 4, 4, 2, seed=8), raw)
+    hsn = tmp_path / "c.hsin"
+    assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+                    "--iters", "10", "--out", str(hsn)]) == 0
+    capsys.readouterr()
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decompress must not run")
+
+    monkeypatch.setattr(cli, "decompress", no_decoding)
+    (tmp_path / "adir").mkdir()
+    assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+    assert not any((tmp_path / "adir").iterdir())
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

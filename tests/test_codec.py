@@ -15,12 +15,14 @@ from hsin import (
     decompress,
     deserialize,
     encoded_size,
+    normalize,
     serialize,
 )
+import hsin.codec
 from hsin.codec import quantize
 from hsin.cube import ScaleInfo
 from hsin.siren import init_params, param_count
-from conftest import half_bits
+from conftest import half_bits, make_cube
 
 
 # ----------------------------------------------------------------- quantize
@@ -263,6 +265,21 @@ def test_decompress_shape_scale_and_determinism():
     assert cube.data.min() >= 10.0 and cube.data.max() <= 30.0
     again = decompress(enc)
     assert np.array_equal(cube.data, again.data)
+
+
+def test_decompress_inverts_normalize(monkeypatch):
+    # with a net that reproduces the normalized cube exactly, decompress
+    # restores raw units up to float32 rounding of the scale and the output
+    rng = np.random.default_rng(4)
+    cube = make_cube(6, 6, 2, rng.uniform(-3.0, 7.0, 6 * 6 * 2))
+    norm, scale = normalize(cube)
+    monkeypatch.setattr(hsin.codec, "reconstruct_normalized",
+                        lambda *args: norm.band_matrix().T.astype(np.float32))
+    spec = SirenSpec(n_hidden=1, hidden_width=1, out_dim=2)
+    enc = EncodedImage(6, 6, 2, 1, 1, False, scale, init_params(spec, seed=0))
+    back = decompress(enc)
+    span = scale.raw_max - scale.raw_min
+    assert np.abs(back.data - cube.data).max() <= 1e-6 * span
 
 
 def test_decompress_half_equals_dequantized_full32_eval():

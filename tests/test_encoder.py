@@ -32,13 +32,13 @@ def small_cube():
 # ------------------------------------------------------------------ overfit
 
 def test_constant_cube_learns_biases_fast():
-    # constant 0.5 already satisfies the [0,1] precondition; the net only
-    # has to learn output biases. Adam moves each parameter by at most ~lr
-    # per step, so covering the 0.5 offset within 500 iterations needs a
-    # learning rate of at least ~1e-3; reference run at 1e-2 gives 73 dB.
-    cube = make_cube(4, 4, 2, np.full(32, 0.5))
+    # normalize maps any constant cube to all zeros, so the net only has to
+    # cancel its small initial output. Adam moves each parameter by at most
+    # ~2e-4 per step, which covers that offset within 500 iterations.
+    norm, _ = normalize(make_cube(4, 4, 2, np.full(32, 0.5)))
+    assert not norm.data.any()
     spec = SirenSpec(n_hidden=1, hidden_width=16, out_dim=2)
-    snap = overfit(cube, spec, TrainConfig(iterations=500, eval_every=50, lr=1e-2))
+    snap = overfit(norm, spec, TrainConfig(iterations=500, eval_every=50))
     assert snap.psnr >= 60.0
 
 
@@ -88,7 +88,7 @@ def test_sampled_training_runs_and_converges_reasonably():
     spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=4)
     cfg = TrainConfig(
         iterations=600, eval_every=200,
-        sample=SampleConfig(window=3, rate=0.5, seed=1),
+        sample=SampleConfig(window=3, rate=0.5),
     )
     snap = overfit(norm, spec, cfg)
     assert snap.psnr > 25.0
@@ -112,7 +112,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(iterations=10, eval_every=0)
     with pytest.raises(ValueError):
-        TrainConfig(iterations=10, lr=-1.0)
+        TrainConfig(iterations=10, seed=-1)
 
 
 # ------------------------------------------------------------------- search
@@ -243,10 +243,6 @@ def test_compress_rejects_bad_specs():
     cfg = TrainConfig(iterations=10)
     with pytest.raises(ValueError, match="bands"):
         compress(cube, SirenSpec(n_hidden=1, hidden_width=8, out_dim=3), cfg)
-    with pytest.raises(ValueError, match="w0"):
-        compress(cube, SirenSpec(n_hidden=1, hidden_width=8, out_dim=4, w0=25.0), cfg)
-    with pytest.raises(ValueError, match="2-D"):
-        compress(cube, SirenSpec(n_hidden=1, hidden_width=8, out_dim=4, in_dim=3), cfg)
 
 
 @pytest.mark.parametrize("half", [False, True])

@@ -119,8 +119,8 @@ def test_ssim_mean_averages_bands():
     a = make_cube(3, 3, 2, np.concatenate([np.zeros(9), np.ones(9) * 0.5]))
     b = make_cube(3, 3, 2, np.concatenate([np.zeros(9), np.full(9, 0.75)]))
     per_band = [
-        ssim_band(a.band(0), b.band(0)),
-        ssim_band(a.band(1), b.band(1)),
+        ssim_band(a.band_matrix()[0], b.band_matrix()[0]),
+        ssim_band(a.band_matrix()[1], b.band_matrix()[1]),
     ]
     assert ssim_mean(a, b) == pytest.approx(np.mean(per_band), rel=1e-15)
 

@@ -16,7 +16,7 @@ def random_net(rng, max_hidden=3, max_width=8, max_out=4, max_rows=16):
         hidden_width=int(rng.integers(1, max_width + 1)),
         out_dim=int(rng.integers(1, max_out + 1)),
     )
-    params = init_params(spec, seed=int(rng.integers(0, 2**31)), dtype=np.float64)
+    params = init_params(spec, seed=int(rng.integers(0, 2**31))).astype(np.float64)
     n = int(rng.integers(1, max_rows + 1))
     batch = Batch(
         rng.uniform(-1.0, 1.0, (n, spec.in_dim)),
@@ -88,7 +88,7 @@ def test_training_dtype_stays_float32():
 
 def test_forward_shape_checks():
     spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
-    params = init_params(spec, seed=0, dtype=np.float64)
+    params = init_params(spec, seed=0).astype(np.float64)
     with pytest.raises(ValueError):
         mlp_forward(spec, params, np.zeros((3, 5)))
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_forward_shape_checks():
 
 def test_numeric_gradient_validates_eps():
     spec = SirenSpec(n_hidden=1, hidden_width=2, out_dim=1)
-    params = init_params(spec, seed=0, dtype=np.float64)
+    params = init_params(spec, seed=0).astype(np.float64)
     batch = Batch(np.zeros((1, 2)), np.zeros((1, 1)))
     with pytest.raises(ValueError):
         numeric_gradient(spec, params, batch, eps=0.0)

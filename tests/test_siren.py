@@ -44,13 +44,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SirenSpec(n_hidden=0, hidden_width=4, out_dim=1)
     with pytest.raises(ValueError):
-        SirenSpec(n_hidden=1, hidden_width=4, out_dim=1, w0=0.0)
+        SirenSpec(n_hidden=1, hidden_width=0, out_dim=1)
+    # the (x, y) input width is a constant, not a field a caller can set
+    assert SirenSpec(n_hidden=1, hidden_width=4, out_dim=1).in_dim == 2
+    with pytest.raises(TypeError):
+        SirenSpec(n_hidden=1, hidden_width=4, out_dim=1, in_dim=3)
 
 
 def test_init_bounds_first_layer():
     # fan_in = 2 -> uniform in (-0.5, 0.5), open interval
     spec = SirenSpec(n_hidden=1, hidden_width=64, out_dim=4)
-    (weights, biases), *_ = unflatten(spec, init_params(spec, seed=0, dtype=np.float64))
+    (weights, biases), *_ = unflatten(spec, init_params(spec, seed=0).astype(np.float64))
     first = np.concatenate([weights.ravel(), biases])
     assert np.abs(first).max() < 0.5
     assert np.abs(first).max() > 0.4  # actually fills the interval
@@ -61,7 +65,7 @@ def test_init_bounds_later_layers():
     spec = SirenSpec(n_hidden=2, hidden_width=40, out_dim=3)
     bound = np.sqrt(6.0 / 40.0) / 30.0
     assert abs(bound - 0.012909944487358056) < 1e-15
-    layers = unflatten(spec, init_params(spec, seed=1, dtype=np.float64))
+    layers = unflatten(spec, init_params(spec, seed=1).astype(np.float64))
     for weights, biases in layers[1:]:
         vals = np.concatenate([weights.ravel(), biases])
         assert np.abs(vals).max() < bound
@@ -80,7 +84,7 @@ def test_init_determinism():
 
 def test_flatten_unflatten_round_trip():
     spec = SirenSpec(n_hidden=3, hidden_width=6, out_dim=2)
-    params = init_params(spec, seed=3, dtype=np.float64)
+    params = init_params(spec, seed=3).astype(np.float64)
     layers = unflatten(spec, params)
     assert len(layers) == spec.n_hidden + 1
     assert [w.shape for w, _ in layers] == layer_shapes(spec)
@@ -100,7 +104,7 @@ def test_unflatten_rejects_wrong_length():
 def test_canonical_order_is_load_bearing():
     # permuting the flat vector must change what the layers see
     spec = SirenSpec(n_hidden=1, hidden_width=3, out_dim=2)
-    params = init_params(spec, seed=7, dtype=np.float64)
+    params = init_params(spec, seed=7).astype(np.float64)
     rolled = np.roll(params, 1)
     a = unflatten(spec, params)[0][0]
     b = unflatten(spec, rolled)[0][0]
