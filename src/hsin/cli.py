@@ -22,7 +22,7 @@ from .codec import (
     payload_bits,
     serialize,
 )
-from .cube import CubeFormatError, normalize, open_cube, save_cube, synth_cube
+from .cube import CubeFormatError, header_path, normalize, open_cube, save_cube, synth_cube
 from .encoder import DEFAULT_PROBE_ITERATIONS, TrainConfig, architecture_search, compress
 from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
 from .sampling import SampleConfig
@@ -56,7 +56,7 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return w, h, c
 
 
-def _check_writable(path: str | None) -> None:
+def _check_writable(path: str | Path | None) -> None:
     # fail before the work, not after it, when an output cannot be written
     if path is None:
         return
@@ -64,6 +64,12 @@ def _check_writable(path: str | None) -> None:
         raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
     if Path(path).is_dir():
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
+
+
+def _check_cube_writable(path: str) -> None:
+    # save_cube writes the .hdr sidecar beside the data file as well
+    _check_writable(path)
+    _check_writable(header_path(path))
 
 
 def _build_parser() -> _Parser:
@@ -100,6 +106,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--budget-bpppb", type=float, required=True)
     p.add_argument("--probe-iters", type=int, default=DEFAULT_PROBE_ITERATIONS)
+    p.add_argument("--half", action="store_true",
+                   help="rate and probe candidates as float16 weights, as compress --half does")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_search)
 
@@ -158,7 +166,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    _check_writable(args.out)
+    _check_cube_writable(args.out)
     try:
         blob = Path(args.input).read_bytes()
     except OSError as exc:
@@ -190,7 +198,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_search(args) -> int:
     cube = open_cube(args.input)
     normalized, _ = normalize(cube)
-    probe_cfg = TrainConfig(iterations=args.probe_iters, seed=args.seed)
+    probe_cfg = TrainConfig(iterations=args.probe_iters, seed=args.seed, half=args.half)
     spec = architecture_search(normalized, args.budget_bpppb, probe_cfg=probe_cfg)
     n = param_count(spec)
     print(f"n_hidden={spec.n_hidden}")
@@ -202,6 +210,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_synth(args) -> int:
     w, h, c = _parse_dims(args.dims)
+    _check_cube_writable(args.out)
     cube = synth_cube(args.kind, w, h, c, seed=args.seed)
     save_cube(cube, args.out)
     print(f"out={args.out}")

@@ -151,17 +151,26 @@ def load_cube(data_path: str | Path, header: CubeHeader) -> HyperCube:
     return HyperCube(header.width, header.height, header.bands, data)
 
 
+def header_path(data_path: str | Path) -> Path:
+    """The .hdr sidecar next to a raw cube file."""
+    return Path(data_path).with_suffix(".hdr")
+
+
 def open_cube(data_path: str | Path) -> HyperCube:
     """Load a cube given its data file, reading the .hdr sidecar next to it."""
-    data_path = Path(data_path)
-    return load_cube(data_path, read_header(data_path.with_suffix(".hdr")))
+    return load_cube(data_path, read_header(header_path(data_path)))
 
 
 def save_cube(cube: HyperCube, data_path: str | Path) -> None:
-    """Write raw little-endian float32 BSQ plus the .hdr sidecar next to it."""
-    data_path = Path(data_path)
-    data_path.write_bytes(cube.data.astype("<f4").tobytes())
-    write_header(CubeHeader(cube.width, cube.height, cube.bands), data_path.with_suffix(".hdr"))
+    """Write raw little-endian float32 BSQ plus the .hdr sidecar next to it.
+
+    Bands are converted to float32 one at a time, so saving makes no copy
+    of the whole cube.
+    """
+    with open(data_path, "wb") as fh:
+        for band in cube.band_matrix():
+            fh.write(band.astype("<f4").tobytes())
+    write_header(CubeHeader(cube.width, cube.height, cube.bands), header_path(data_path))
 
 
 def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:

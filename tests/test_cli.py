@@ -86,6 +86,25 @@ def test_search_command(tmp_path, capsys):
     assert (int(out["n_hidden"]), int(out["hidden_width"])) == (5, 20)
 
 
+def test_search_half_picks_what_compress_half_picks(tmp_path, capsys):
+    # at 30 bpppb on a 16x16x4 cube, (5,20) fits only at 16 bits per weight
+    # (28.5 bpppb); both commands must rate candidates the same way
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("smooth-gradient", 16, 16, 4), raw)
+    budget = ["--input", str(raw), "--budget-bpppb", "30"]
+    assert cli.run(["search", *budget]) == 1
+    assert "fits" in capsys.readouterr().err
+    assert cli.run(["search", *budget, "--half"]) == 0
+    searched = parse_report(capsys.readouterr().out)
+    assert cli.run(["compress", *budget, "--half", "--iters", "10",
+                    "--out", str(tmp_path / "c.hsin")]) == 0
+    compressed = parse_report(capsys.readouterr().out)
+    for key in ("n_hidden", "hidden_width", "n_params", "bpppb"):
+        assert searched[key] == compressed[key]
+    assert (int(searched["n_hidden"]), int(searched["hidden_width"])) == (5, 20)
+    assert float(searched["bpppb"]) == 28.5
+
+
 def test_sampled_compress_flags(tmp_path, capsys):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("smooth-gradient", 12, 12, 2), raw)
@@ -161,7 +180,8 @@ def test_compress_fails_before_training(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("out, needle", [
     ("missing/r.raw", "does not exist"),
     ("adir", "is a directory"),
-], ids=["out-dir-missing", "out-is-dir"])
+    ("r.raw", "r.hdr: it is a directory"),
+], ids=["out-dir-missing", "out-is-dir", "hdr-is-dir"])
 def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, needle):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("random", 4, 4, 2, seed=8), raw)
@@ -175,10 +195,13 @@ def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, ne
 
     monkeypatch.setattr(cli, "decompress", no_decoding)
     (tmp_path / "adir").mkdir()
+    (tmp_path / "r.hdr").mkdir()
     assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / out)]) == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "r.raw").exists()
     assert not any((tmp_path / "adir").iterdir())
+    assert not any((tmp_path / "r.hdr").iterdir())
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -310,6 +333,16 @@ def test_infeasible_budget_exits_1(tmp_path, capsys):
     save_cube(synth_cube("random", 4, 4, 2, seed=4), raw)
     assert cli.run(["search", "--input", str(raw), "--budget-bpppb", "1e-9"]) == 1
     assert "fits" in capsys.readouterr().err
+
+
+def test_synth_fails_before_writing(tmp_path, capsys):
+    # save_cube writes r.raw and then r.hdr; a blocked sidecar must stop
+    # synth before r.raw exists
+    (tmp_path / "r.hdr").mkdir()
+    out = tmp_path / "r.raw"
+    assert cli.run(["synth", "--kind", "random", "--dims", "4x4x2", "--out", str(out)]) == 2
+    assert "r.hdr: it is a directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_writes_loadable_cube(tmp_path, capsys):

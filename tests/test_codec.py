@@ -1,6 +1,7 @@
 """Quantization against an independent IEEE oracle; bitstream round trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from hsin import (
     serialize,
 )
 import hsin.codec
-from hsin.codec import quantize
-from hsin.cube import ScaleInfo
+from hsin.codec import quantize, reconstruct_normalized
+from hsin.cube import ScaleInfo, save_cube
+from hsin.nn import mlp_forward
+from hsin.sampling import build_grid
 from hsin.siren import init_params, param_count
 from conftest import half_bits, make_cube
 
@@ -290,3 +293,49 @@ def test_decompress_half_equals_dequantized_full32_eval():
     enc_h = EncodedImage(5, 5, 2, 2, 8, True, ScaleInfo(0.0, 1.0), half)
     enc_f = EncodedImage(5, 5, 2, 2, 8, False, ScaleInfo(0.0, 1.0), half.astype(np.float32))
     assert np.array_equal(decompress(enc_h).data, decompress(enc_f).data)
+
+
+@pytest.mark.parametrize("width, height", [(2, 3), (7, 3), (5, 4), (11, 2)],
+                         ids=["under-one-tile", "whole-tiles", "ragged-last-tile", "one-row-left"])
+def test_tiled_decode_equals_untiled_evaluation(monkeypatch, width, height):
+    # 6, 21, 20 and 22 pixels in 7-row tiles; the tiled grid evaluation and
+    # the raw-unit fill must match one untiled evaluation bitwise (a lone
+    # one-row tile would round differently, through gemv)
+    monkeypatch.setattr(hsin.codec, "TILE_ROWS", 7)
+    spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=32)
+    params = init_params(spec, seed=1)
+    params[-32:] = 0.5  # output biases: keep outputs inside [0, 1], clear of the clip
+    untiled = mlp_forward(spec, params, build_grid(width, height).astype(np.float32))
+    assert 0.0 < untiled.min() and untiled.max() < 1.0
+    recon = reconstruct_normalized(spec, params, width, height)
+    assert recon.dtype == np.float32
+    assert np.array_equal(recon, untiled)
+
+    enc = EncodedImage(width, height, 32, 2, 16, False, ScaleInfo(-3.7, 1234.56), params)
+    span = enc.scale.raw_max - enc.scale.raw_min
+    want = (recon.T.astype(np.float64) * span + enc.scale.raw_min).ravel()
+    assert np.array_equal(decompress(enc).data, want)
+
+
+def test_decode_peak_memory(tmp_path):
+    # decompress holds the float64 cube, the float32 reconstruction and one
+    # tile (13 B per sample at most); save_cube converts one band at a time
+    spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=64)
+    enc = EncodedImage(200, 150, 64, 2, 16, False, ScaleInfo(0.0, 1000.0),
+                       init_params(spec, seed=2))
+    samples = 200 * 150 * 64
+    path = tmp_path / "r.raw"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cube = decompress(enc)
+        decode_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        save_cube(cube, path)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert decode_peak <= 13 * samples
+    assert save_peak <= 1 * samples
+    assert path.read_bytes() == cube.data.astype("<f4").tobytes()
