@@ -67,7 +67,10 @@ def _check_writable(path: str | Path | None) -> None:
 
 
 def _check_cube_writable(path: str) -> None:
-    # save_cube writes the .hdr sidecar beside the data file as well
+    # save_cube writes the .hdr sidecar beside the data file as well, and
+    # a data file named *.hdr would be overwritten by its own header
+    if header_path(path) == Path(path):
+        raise OSError(f"cannot write {path}: it is its own .hdr sidecar")
     _check_writable(path)
     _check_writable(header_path(path))
 

@@ -75,15 +75,14 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     if lo < 0.0 or hi > 1.0:
         raise ValueError("overfit expects a normalized cube with values in [0, 1]")
 
-    coords = build_grid(cube.width, cube.height)
     targets64 = np.ascontiguousarray(cube.band_matrix().T)  # (n_pixels, bands)
-
-    full_batch = None
-    if cfg.sample is None:
-        full_batch = Batch(coords.astype(np.float32), targets64.astype(np.float32))
+    # pixel-major float32: the full batch, and the rows a sampled batch takes
+    grid = Batch(build_grid(cube.width, cube.height).astype(np.float32),
+                 targets64.astype(np.float32))
 
     params = init_params(spec, cfg.seed)
     state = fresh_state(params)
+    work: dict = {}  # the training step's buffers, reused every iteration
 
     best_params = None
     best_psnr = -math.inf
@@ -91,17 +90,20 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     history: list[tuple[int, float]] = []
 
     for epoch in range(1, cfg.iterations + 1):
-        if full_batch is not None:
-            batch = full_batch
+        if cfg.sample is None:
+            batch = grid
         else:
             idx = sample_indices(cube.width, cube.height, cfg.sample, cfg.seed, epoch)
-            batch = gather_batch(cube, coords, idx)
-        loss, grads = mlp_loss_and_grad(spec, params, batch)
+            batch = gather_batch(cube, grid, idx)
+        loss, grads = mlp_loss_and_grad(spec, params, batch, work)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at iteration {epoch}")
         params, state = adam_step(state, params, grads)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.iterations:
+            # release the training buffers so the eval's arrays take their
+            # place rather than stacking on them
+            work.clear()
             eval_params = quantize(params) if cfg.half else params
             score = psnr(reconstruct_normalized(spec, eval_params, cube.width, cube.height),
                          targets64)

@@ -16,10 +16,10 @@ import numpy as np
 from .cube import HyperCube
 
 
-def _flat(a) -> np.ndarray:
+def _flat(a, dtype=np.float64) -> np.ndarray:
     if isinstance(a, HyperCube):
         return a.data
-    return np.asarray(a, dtype=np.float64).ravel()
+    return np.asarray(a, dtype=dtype).ravel()
 
 
 def mse(a, b) -> float:
@@ -29,14 +29,13 @@ def mse(a, b) -> float:
         db = (b.width, b.height, b.bands)
         if da != db:
             raise ValueError(f"cube dimensions differ: {da} vs {db}")
-    x = _flat(a)
-    y = _flat(b)
+    x = _flat(a, dtype=None)
+    y = _flat(b, dtype=None)
     if x.shape != y.shape:
         raise ValueError(f"sizes differ: {x.size} vs {y.size}")
-    # drop a float64 copy of a float32 input before squaring, and square in
-    # place: at most two cube-sized float64 arrays live at once
-    d = x - y
-    del x, y
+    # widen while subtracting (exact from float32, so the same bits as
+    # float64 copies would give): the difference is the one float64 array
+    d = np.subtract(x, y, dtype=np.float64)
     d *= d
     return float(np.mean(d))
 

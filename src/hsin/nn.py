@@ -33,22 +33,35 @@ class Batch:
             raise ValueError("batch must contain at least one sample")
 
 
-def _forward(layers, a: np.ndarray, cache: list | None = None) -> np.ndarray:
+def _buffer(work: dict | None, key, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+    # work[key], reallocated on a new shape or dtype; None (out= allocates) without work
+    if work is None:
+        return None
+    buf = work.get(key)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        work.pop(key, None)
+        buf = work[key] = np.empty(shape, dtype)
+    return buf
+
+
+def _forward(layers, a: np.ndarray, work: dict | None = None) -> np.ndarray:
     """sin(w0 * (a @ W.T + b)) per hidden layer, then the affine output layer.
 
-    Evaluation and training share this loop. Given a cache list, it appends
-    (layer input, pre-activation) per hidden layer and (layer input, None)
-    for the output layer: what backprop needs.
+    Evaluation and training share this loop. Given a workspace, each hidden
+    layer i leaves w0 * z in work["s", i] and its sine in work["a", i]
+    (what backprop needs), in buffers reused from call to call; without
+    one, each sine overwrites its own pre-activation.
     """
-    for weights, biases in layers[:-1]:
-        z = a @ weights.T + biases
-        if cache is not None:
-            cache.append((a, z))
-        a = np.sin(W0 * z)
+    n, dtype = a.shape[0], a.dtype
+    for i, (weights, biases) in enumerate(layers[:-1]):
+        s = np.matmul(a, weights.T, out=_buffer(work, ("s", i), (n, weights.shape[0]), dtype))
+        s += biases
+        s *= W0
+        a = np.sin(s, out=s if work is None else _buffer(work, ("a", i), s.shape, dtype))
     weights, biases = layers[-1]
-    if cache is not None:
-        cache.append((a, None))
-    return a @ weights.T + biases
+    out = np.matmul(a, weights.T, out=_buffer(work, "out", (n, weights.shape[0]), dtype))
+    out += biases
+    return out
 
 
 def _inputs(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -71,33 +84,45 @@ def mlp_loss(spec: SirenSpec, params: np.ndarray, batch: Batch) -> float:
     return float(np.mean(diff * diff))
 
 
-def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
+def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch,
+                      work: dict | None = None) -> tuple[float, np.ndarray]:
     """MSE loss and its exact gradient with respect to every parameter.
 
     Arithmetic stays in the dtype of `params` (float32 in training,
     float64 in gradient checks); W0 is a python float so no accidental
-    upcast happens.
+    upcast happens. `work` is a caller-owned dict whose buffers the next
+    call on the same shapes reuses (None: fresh ones); the result is
+    bitwise the same either way, and the gradient is a new vector.
     """
+    if work is None:
+        work = {}
     layers = unflatten(spec, params)
+    inputs = _inputs(spec, params, batch.inputs)
     targets = np.asarray(batch.targets, dtype=params.dtype)
-    cache: list = []
-    pred = _forward(layers, _inputs(spec, params, batch.inputs), cache)
-
-    diff = pred - targets
-    loss = float(np.mean(diff * diff))
+    diff = _forward(layers, inputs, work)
+    diff -= targets
+    square = np.multiply(diff, diff, out=_buffer(work, "square", diff.shape, diff.dtype))
+    loss = float(np.mean(square))
 
     # d(mean of diff^2)/d(pred); total entry count normalizes the mean
-    dy = diff * (2.0 / diff.size)
+    dy = diff
+    dy *= 2.0 / dy.size
 
-    grads = [np.empty(0)] * len(layers)
+    grads = np.empty_like(params)
+    grad_layers = unflatten(spec, grads)
     for i in range(len(layers) - 1, -1, -1):
-        gw = dy.T @ cache[i][0]
-        gb = dy.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
+        gw, gb = grad_layers[i]
+        np.matmul(dy.T, inputs if i == 0 else work["a", i - 1], out=gw)
+        np.sum(dy, axis=0, out=gb)
         if i > 0:
-            dx = dy @ layers[i][0]
-            dy = dx * (W0 * np.cos(W0 * cache[i - 1][1]))
-    return loss, np.concatenate(grads).astype(params.dtype, copy=False)
+            # ping-pong: dx must not land in the buffer dy is read from
+            dx = np.matmul(dy, layers[i][0],
+                           out=_buffer(work, ("dx", i % 2), (dy.shape[0], gw.shape[1]), dy.dtype))
+            c = np.cos(work["s", i - 1], out=work["s", i - 1])  # w0 * z is no longer needed
+            c *= W0
+            dx *= c
+            dy = dx
+    return loss, grads
 
 
 def numeric_gradient(spec: SirenSpec, params: np.ndarray, batch: Batch, eps: float = 1e-4) -> np.ndarray:

@@ -74,20 +74,24 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, seed: int, epoch:
     x_sizes = np.minimum(cfg.window, width - x_starts)
     y_sizes = np.minimum(cfg.window, height - y_starts)
 
-    # group blocks by shape (row-major encounter order, kept stable so the
-    # stream of random draws is reproducible)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for y0, bh in zip(y_starts, y_sizes):
-        for x0, bw in zip(x_starts, x_sizes):
-            groups.setdefault((int(bw), int(bh)), []).append((int(x0), int(y0)))
+    # group blocks by shape, in row-major order of each shape's first block
+    # and row-major within a group, so the stream of random draws is
+    # reproducible
+    n_x = x_starts.size
+    block_w = np.tile(x_sizes, y_starts.size)
+    block_h = np.repeat(y_sizes, n_x)
+    _, first, group = np.unique(block_w * (cfg.window + 1) + block_h,
+                                return_index=True, return_inverse=True)
 
     chunks = []
-    for (bw, bh), origins in groups.items():
+    for g in np.argsort(first):
+        members = np.flatnonzero(group == g)
+        bw, bh = int(block_w[members[0]]), int(block_h[members[0]])
         npix = bw * bh
         k = _block_k(cfg.rate, npix)
-        ox = np.array([o[0] for o in origins])
-        oy = np.array([o[1] for o in origins])
-        keys = rng.random((len(origins), npix))
+        ox = x_starts[members % n_x]
+        oy = y_starts[members // n_x]
+        keys = rng.random((members.size, npix))
         sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
         dy, dx = sel // bw, sel % bw
         flat = (oy[:, None] + dy) * width + (ox[:, None] + dx)
@@ -95,18 +99,17 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, seed: int, epoch:
     return np.sort(np.concatenate(chunks)).astype(np.int64)
 
 
-def gather_batch(cube: HyperCube, coords: np.ndarray, indices: np.ndarray) -> Batch:
-    """Pair selected pixel coordinates with their target spectra, as float32.
+def gather_batch(cube: HyperCube, grid: Batch, indices: np.ndarray) -> Batch:
+    """The rows of the cube's full pixel-major batch that indices select.
 
-    coords is the build_grid array of the cube's pixels.
+    grid pairs every pixel's build_grid coordinates with its spectrum, both
+    float32; the gather is a row take of each.
     """
-    if coords.shape[0] != cube.n_pixels:
-        raise ValueError(f"grid has {coords.shape[0]} pixels, cube has {cube.n_pixels}")
+    if grid.inputs.shape[0] != cube.n_pixels:
+        raise ValueError(f"grid has {grid.inputs.shape[0]} pixels, cube has {cube.n_pixels}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError("indices must be a non-empty 1-D array")
     if idx.min() < 0 or idx.max() >= cube.n_pixels:
         raise IndexError(f"pixel index out of range [0, {cube.n_pixels})")
-    inputs = coords[idx].astype(np.float32)
-    targets = cube.band_matrix()[:, idx].T.astype(np.float32)
-    return Batch(inputs, np.ascontiguousarray(targets))
+    return Batch(grid.inputs[idx], grid.targets[idx])

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from hsin import HyperCube, SirenSpec
-from hsin.siren import W0
+from hsin.siren import W0, unflatten
 
 
 def scalar_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -94,3 +94,65 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
     return float((np.abs(a - n) / denom).max())
+
+
+def loop_sample_indices(width: int, height: int, cfg, seed: int, epoch: int) -> np.ndarray:
+    """The sampler with its block grouping as a Python double loop.
+
+    Blocks are grouped by shape in row-major first-encounter order, the
+    order that fixes which random draws land on which block.
+    """
+    rng = np.random.default_rng([seed, epoch])
+    x_starts = np.arange(0, width, cfg.window)
+    y_starts = np.arange(0, height, cfg.window)
+    x_sizes = np.minimum(cfg.window, width - x_starts)
+    y_sizes = np.minimum(cfg.window, height - y_starts)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for y0, bh in zip(y_starts, y_sizes):
+        for x0, bw in zip(x_starts, x_sizes):
+            groups.setdefault((int(bw), int(bh)), []).append((int(x0), int(y0)))
+    chunks = []
+    for (bw, bh), origins in groups.items():
+        npix = bw * bh
+        k = min(npix, max(1, int(math.floor(cfg.rate * npix + 0.5))))
+        ox = np.array([o[0] for o in origins])
+        oy = np.array([o[1] for o in origins])
+        keys = rng.random((len(origins), npix))
+        sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
+        dy, dx = sel // bw, sel % bw
+        flat = (oy[:, None] + dy) * width + (ox[:, None] + dx)
+        chunks.append(flat.ravel())
+    return np.sort(np.concatenate(chunks)).astype(np.int64)
+
+
+def reference_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch) -> tuple[float, np.ndarray]:
+    """The training step with a fresh array for every intermediate.
+
+    Each operation is the out-of-place form of what the workspace step does
+    in place, so the two must agree bitwise.
+    """
+    layers = unflatten(spec, params)
+    a = np.asarray(batch.inputs, dtype=params.dtype)
+    targets = np.asarray(batch.targets, dtype=params.dtype)
+    cache = []
+    for weights, biases in layers[:-1]:
+        z = a @ weights.T + biases
+        cache.append((a, z))
+        a = np.sin(W0 * z)
+    weights, biases = layers[-1]
+    cache.append((a, None))
+    pred = a @ weights.T + biases
+
+    diff = pred - targets
+    loss = float(np.mean(diff * diff))
+    dy = diff * (2.0 / diff.size)
+
+    grads = [np.empty(0)] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        gw = dy.T @ cache[i][0]
+        gb = dy.sum(axis=0)
+        grads[i] = np.concatenate([gw.ravel(), gb])
+        if i > 0:
+            dx = dy @ layers[i][0]
+            dy = dx * (W0 * np.cos(W0 * cache[i - 1][1]))
+    return loss, np.concatenate(grads).astype(params.dtype, copy=False)

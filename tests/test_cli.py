@@ -181,7 +181,8 @@ def test_compress_fails_before_training(tmp_path, capsys, monkeypatch,
     ("missing/r.raw", "does not exist"),
     ("adir", "is a directory"),
     ("r.raw", "r.hdr: it is a directory"),
-], ids=["out-dir-missing", "out-is-dir", "hdr-is-dir"])
+    ("x.hdr", "x.hdr: it is its own .hdr sidecar"),
+], ids=["out-dir-missing", "out-is-dir", "hdr-is-dir", "out-is-hdr"])
 def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, needle):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("random", 4, 4, 2, seed=8), raw)
@@ -200,6 +201,7 @@ def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, ne
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
     assert not (tmp_path / "r.raw").exists()
+    assert not (tmp_path / "x.hdr").exists()
     assert not any((tmp_path / "adir").iterdir())
     assert not any((tmp_path / "r.hdr").iterdir())
 
@@ -342,6 +344,12 @@ def test_synth_fails_before_writing(tmp_path, capsys):
     out = tmp_path / "r.raw"
     assert cli.run(["synth", "--kind", "random", "--dims", "4x4x2", "--out", str(out)]) == 2
     assert "r.hdr: it is a directory" in capsys.readouterr().err
+    assert not out.exists()
+    # a data file named *.hdr is its own sidecar: the header would replace
+    # the samples
+    out = tmp_path / "s.hdr"
+    assert cli.run(["synth", "--kind", "random", "--dims", "4x4x2", "--out", str(out)]) == 2
+    assert "s.hdr: it is its own .hdr sidecar" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hsin.nn import Batch, mlp_forward, mlp_loss, mlp_loss_and_grad, numeric_gradient
 from hsin.siren import SirenSpec, init_params, param_count
-from conftest import rel_err, scalar_forward, scalar_loss
+from conftest import reference_loss_and_grad, rel_err, scalar_forward, scalar_loss
 
 
 def random_net(rng, max_hidden=3, max_width=8, max_out=4, max_rows=16):
@@ -84,6 +84,28 @@ def test_training_dtype_stays_float32():
     assert grad.dtype == np.float32
     assert isinstance(loss, float)
     assert grad.size == param_count(spec)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_hidden", [1, 3, 4])
+def test_workspace_step_is_bitwise_the_fresh_step(dtype, n_hidden):
+    # consecutive calls share one workspace; the row counts change between
+    # calls (forcing the buffers to be reallocated) and repeat (reusing them)
+    spec = SirenSpec(n_hidden=n_hidden, hidden_width=24, out_dim=7)
+    params = init_params(spec, seed=n_hidden).astype(dtype)
+    rng = np.random.default_rng(n_hidden)
+    work = {}
+    for rows in (300, 300, 41, 1, 300, 1024, 1024):
+        batch = Batch(rng.uniform(-1, 1, (rows, 2)).astype(np.float32),
+                      rng.uniform(0, 1, (rows, spec.out_dim)).astype(np.float32))
+        loss, grad = mlp_loss_and_grad(spec, params, batch, work)
+        want_loss, want_grad = reference_loss_and_grad(spec, params, batch)
+        assert loss == want_loss
+        assert grad.dtype == want_grad.dtype == dtype
+        assert np.array_equal(grad.view(np.uint8), want_grad.view(np.uint8))
+        fresh_loss, fresh_grad = mlp_loss_and_grad(spec, params, batch)
+        assert fresh_loss == loss and np.array_equal(fresh_grad, grad)
+        params = params - dtype(1e-2) * grad
 
 
 def test_forward_shape_checks():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hsin.cube import synth_cube
+from hsin.nn import Batch
 from hsin.sampling import SampleConfig, build_grid, gather_batch, sample_indices
+from conftest import loop_sample_indices
 
 
 # --------------------------------------------------------------------- grid
@@ -94,6 +96,20 @@ def test_coverage_frequency_binomial():
     assert np.abs(freq - 0.5).max() <= 3 * sigma
 
 
+@pytest.mark.parametrize("window", [1, 3, 4, 7])
+@pytest.mark.parametrize("width, height", [(12, 12), (13, 11), (29, 17), (5, 3)],
+                         ids=["even", "ragged", "ragged-wide", "window-beyond-image"])
+def test_block_grouping_matches_loop_oracle(window, width, height):
+    # the vectorized grouping must keep the loop's group order, so every
+    # draw from the (seed, epoch) stream lands on the same block
+    for seed, epoch, rate in [(0, 0, 0.25), (7, 3, 0.5), (123, 41, 0.1), (2, 9, 1.0)]:
+        cfg = SampleConfig(window=window, rate=rate)
+        got = sample_indices(width, height, cfg, seed, epoch)
+        want = loop_sample_indices(width, height, cfg, seed, epoch)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (seed, epoch, rate)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(window=0, rate=0.5)
@@ -105,39 +121,43 @@ def test_config_validation():
 
 # ------------------------------------------------------------------- gather
 
+def full_grid(cube, coords):
+    # the pixel-major float32 batch overfit builds once per run
+    return Batch(coords.astype(np.float32), cube.band_matrix().T.astype(np.float32))
+
+
 def test_gather_matches_direct_lookup():
     cube = synth_cube("random", 9, 6, 4, seed=5)
-    grid = build_grid(9, 6)
+    coords = build_grid(9, 6)
     rng = np.random.default_rng(6)
     idx = rng.choice(54, size=17, replace=False)
-    batch = gather_batch(cube, grid, idx)
+    batch = gather_batch(cube, full_grid(cube, coords), idx)
     assert batch.inputs.shape == (17, 2)
     assert batch.targets.shape == (17, 4)
     bm = cube.band_matrix()
     for row, i in enumerate(idx):
-        assert np.array_equal(batch.inputs[row], grid[i].astype(np.float32))
+        assert np.array_equal(batch.inputs[row], coords[i].astype(np.float32))
         assert np.array_equal(batch.targets[row], bm[:, i].astype(np.float32))
 
 
 def test_gather_full_grid_equals_everything():
     cube = synth_cube("smooth-gradient", 5, 4, 3)
-    grid = build_grid(5, 4)
-    batch = gather_batch(cube, grid, np.arange(20))
-    assert np.array_equal(batch.inputs, grid.astype(np.float32))
+    coords = build_grid(5, 4)
+    batch = gather_batch(cube, full_grid(cube, coords), np.arange(20))
+    assert np.array_equal(batch.inputs, coords.astype(np.float32))
     assert np.array_equal(batch.targets, cube.band_matrix().T.astype(np.float32))
 
 
 def test_gather_single_index():
     cube = synth_cube("band-sinusoid", 4, 4, 2)
-    grid = build_grid(4, 4)
-    batch = gather_batch(cube, grid, np.array([9]))
+    batch = gather_batch(cube, full_grid(cube, build_grid(4, 4)), np.array([9]))
     assert batch.inputs.shape == (1, 2)
     assert np.array_equal(batch.targets[0], cube.band_matrix()[:, 9].astype(np.float32))
 
 
 def test_gather_dtype_and_errors():
     cube = synth_cube("random", 4, 4, 2, seed=1)
-    grid = build_grid(4, 4)
+    grid = full_grid(cube, build_grid(4, 4))
     batch = gather_batch(cube, grid, np.array([0, 1]))
     assert batch.inputs.dtype == np.float32
     assert batch.targets.dtype == np.float32
@@ -145,5 +165,6 @@ def test_gather_dtype_and_errors():
         gather_batch(cube, grid, np.array([16]))
     with pytest.raises(IndexError):
         gather_batch(cube, grid, np.array([-1]))
+    other = synth_cube("random", 5, 4, 2, seed=1)
     with pytest.raises(ValueError):
-        gather_batch(cube, build_grid(5, 4), np.array([0]))
+        gather_batch(cube, full_grid(other, build_grid(5, 4)), np.array([0]))
