@@ -75,6 +75,20 @@ def _check_cube_writable(path: str) -> None:
     _check_writable(header_path(path))
 
 
+def _check_distinct(reads: list[tuple[str, str | Path]],
+                    writes: list[tuple[str, str | Path | None]]) -> None:
+    # an output that is one of the inputs, or another output, would be
+    # overwritten: refuse before any work, comparing resolved paths
+    taken = {Path(path).resolve(): name for name, path in reads}
+    for name, path in writes:
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in taken:
+            raise OSError(f"cannot write {path}: {name} is the same file as {taken[key]}")
+        taken[key] = name
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hsin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,6 +151,8 @@ def _cmd_compress(args) -> int:
 
     _check_writable(args.out)
     _check_writable(args.history)
+    _check_distinct([("--input", args.input), ("the --input .hdr", header_path(args.input))],
+                    [("--out", args.out), ("--history-csv", args.history)])
 
     cube = open_cube(args.input)
     sample = None
@@ -170,6 +186,8 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     _check_cube_writable(args.out)
+    _check_distinct([("--in", args.input)],
+                    [("--out", args.out), ("the --out .hdr", header_path(args.out))])
     try:
         blob = Path(args.input).read_bytes()
     except OSError as exc:
@@ -243,3 +261,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import HyperCube, ScaleInfo
-from .nn import mlp_forward
+from .nn import mlp_forward, row_tiles
 from .sampling import build_grid
 from .siren import SirenSpec, param_count
 
@@ -43,13 +43,6 @@ _SCALE = struct.Struct("<ff")
 HEADER_BYTES = _HEADER.size + _SCALE.size  # 25
 
 HALF_MAX = 65504.0
-
-# Rows of the coordinate grid per forward call when decoding, so a layer's
-# activations stay in cache. On a 512x512x224 scene with a (15, 40) net and
-# one BLAS thread, every size from 256 to 4096 decoded in 1.0-1.2 s, against
-# 2.5 s for one call on the whole grid.
-TILE_ROWS = 1024
-
 
 class BitstreamError(Exception):
     """Raised for malformed, truncated, or inconsistent bitstreams."""
@@ -193,39 +186,31 @@ def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, heig
     call so reported quality matches what a decoder will actually see. A
     float16 payload is widened exactly to float32 here.
 
-    The grid is evaluated TILE_ROWS rows at a time. BLAS rounds a very
-    short matrix differently (numpy's gemv path for one row, OpenBLAS's
-    small-matrix kernels for a few rows of a wide layer), so the remainder
-    joins the last tile: no tile is shorter than TILE_ROWS unless the grid
-    is, and every row is bitwise equal to one untiled evaluation of the
-    whole grid.
+    The grid is evaluated one hsin.nn.row_tiles tile at a time, and every
+    row is bitwise equal to one untiled evaluation of the whole grid.
     """
     coords = build_grid(width, height).astype(np.float32)
     params = np.asarray(params, dtype=np.float32)
-    n = coords.shape[0]
-    out = np.empty((n, spec.out_dim), dtype=np.float32)
-    n_tiles = max(1, n // TILE_ROWS)
-    for i in range(n_tiles):
-        r0 = i * TILE_ROWS
-        r1 = n if i == n_tiles - 1 else r0 + TILE_ROWS
-        np.clip(mlp_forward(spec, params, coords[r0:r1]), 0.0, 1.0, out=out[r0:r1])
+    out = np.empty((coords.shape[0], spec.out_dim), dtype=np.float32)
+    for rows in row_tiles(coords.shape[0]):
+        np.clip(mlp_forward(spec, params, coords[rows]), 0.0, 1.0, out=out[rows])
     return out
 
 
 def decompress(enc: EncodedImage) -> HyperCube:
     """Decode to a cube in raw units.
 
-    Raw units are filled in TILE_ROWS pixels at a time, straight into the
-    (bands, n_pixels) float64 array the cube adopts, so no step copies the
-    whole cube.
+    Raw units are filled one row tile of pixels at a time, straight into
+    the (bands, n_pixels) float64 array the cube adopts, so no step copies
+    the whole cube.
     """
     recon = reconstruct_normalized(enc.to_spec(), enc.params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
     raw = np.empty((enc.bands, recon.shape[0]), dtype=np.float64)
-    for r0 in range(0, recon.shape[0], TILE_ROWS):
-        block = raw[:, r0:r0 + TILE_ROWS]
+    for rows in row_tiles(recon.shape[0]):
+        block = raw[:, rows]
         # dtype: against a python float numpy would multiply in float32 and
         # only widen the product (NEP 50)
-        np.multiply(recon[r0:r0 + TILE_ROWS].T, span, out=block, dtype=np.float64)
+        np.multiply(recon[rows].T, span, out=block, dtype=np.float64)
         block += enc.scale.raw_min
     return HyperCube(enc.width, enc.height, enc.bands, raw)

@@ -75,14 +75,13 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     if lo < 0.0 or hi > 1.0:
         raise ValueError("overfit expects a normalized cube with values in [0, 1]")
 
-    targets64 = np.ascontiguousarray(cube.band_matrix().T)  # (n_pixels, bands)
     # pixel-major float32: the full batch, and the rows a sampled batch takes
     grid = Batch(build_grid(cube.width, cube.height).astype(np.float32),
-                 targets64.astype(np.float32))
+                 cube.band_matrix().T.astype(np.float32, order="C"))
 
     params = init_params(spec, cfg.seed)
     state = fresh_state(params)
-    work: dict = {}  # the training step's buffers, reused every iteration
+    work: dict = {}  # one row tile's training buffers, reused every iteration
 
     best_params = None
     best_psnr = -math.inf
@@ -101,12 +100,9 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         params, state = adam_step(state, params, grads)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.iterations:
-            # release the training buffers so the eval's arrays take their
-            # place rather than stacking on them
-            work.clear()
             eval_params = quantize(params) if cfg.half else params
-            score = psnr(reconstruct_normalized(spec, eval_params, cube.width, cube.height),
-                         targets64)
+            score = psnr(reconstruct_normalized(spec, eval_params, cube.width, cube.height).T,
+                         cube.band_matrix())
             history.append((epoch, score))
             if score > best_psnr:
                 best_psnr = score
@@ -193,7 +189,7 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
     recon = reconstruct_normalized(spec, payload, cube.width, cube.height)
     decompress_seconds = time.perf_counter() - t1
 
-    m = mse(recon, np.ascontiguousarray(normalized.band_matrix().T))
+    m = mse(recon.T, normalized.band_matrix())
     report = QualityReport(
         mse=m,
         psnr=psnr_from_mse(m),

@@ -14,30 +14,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import HyperCube
+from .nn import row_tiles
 
 
-def _flat(a, dtype=np.float64) -> np.ndarray:
+def _flat(a) -> np.ndarray:
     if isinstance(a, HyperCube):
         return a.data
-    return np.asarray(a, dtype=dtype).ravel()
+    return np.asarray(a, dtype=np.float64).ravel()
 
 
 def mse(a, b) -> float:
-    """Mean squared error over every sample of the cube."""
+    """Mean squared error over every sample of the cube.
+
+    Arrays must have the same shape. A 2-D pair is scored in tiles of
+    columns (hsin.nn.row_tiles over its last axis), each subtracted as it
+    lies: a transposed view is read in place, not copied, and only one
+    tile's difference is held at a time.
+    """
     if isinstance(a, HyperCube) and isinstance(b, HyperCube):
         da = (a.width, a.height, a.bands)
         db = (b.width, b.height, b.bands)
         if da != db:
             raise ValueError(f"cube dimensions differ: {da} vs {db}")
-    x = _flat(a, dtype=None)
-    y = _flat(b, dtype=None)
+    x = a.data if isinstance(a, HyperCube) else np.asarray(a)
+    y = b.data if isinstance(b, HyperCube) else np.asarray(b)
     if x.shape != y.shape:
-        raise ValueError(f"sizes differ: {x.size} vs {y.size}")
+        raise ValueError(f"shapes differ: {x.shape} vs {y.shape}")
+    if x.ndim != 2:
+        return _sum_square_diff(x, y) / x.size
+    return sum(_sum_square_diff(x[:, c], y[:, c]) for c in row_tiles(x.shape[1])) / x.size
+
+
+def _sum_square_diff(x: np.ndarray, y: np.ndarray) -> float:
     # widen while subtracting (exact from float32, so the same bits as
     # float64 copies would give): the difference is the one float64 array
     d = np.subtract(x, y, dtype=np.float64)
     d *= d
-    return float(np.mean(d))
+    return float(d.sum())
 
 
 def psnr_from_mse(m: float, peak: float = 1.0) -> float:

@@ -33,15 +33,38 @@ class Batch:
             raise ValueError("batch must contain at least one sample")
 
 
-def _buffer(work: dict | None, key, shape: tuple[int, ...], dtype) -> np.ndarray | None:
-    # work[key], reallocated on a new shape or dtype; None (out= allocates) without work
+# Rows per tile when a pass runs over many rows, so a layer's activations
+# stay in cache. Decoding a 512x512x224 scene with a (15, 40) net on one
+# BLAS thread took 1.0-1.2 s at every size from 256 to 4096, against 2.5 s
+# for one call on the whole grid; the full-batch training step at
+# 145x145x220 went from 157 to 142 ms (BENCH_7.json).
+TILE_ROWS = 1024
+
+
+def row_tiles(n: int) -> list[slice]:
+    """Row slices of TILE_ROWS rows covering n rows; the remainder joins the last.
+
+    BLAS rounds a very short matrix differently (numpy's gemv path for one
+    row, OpenBLAS's small-matrix kernels for a few rows of a wide layer), so
+    no tile is shorter than TILE_ROWS unless n is, and a row evaluated in a
+    tile is bitwise the same row evaluated in one call on all n.
+    """
+    count = max(1, n // TILE_ROWS)
+    return [slice(i * TILE_ROWS, n if i == count - 1 else (i + 1) * TILE_ROWS)
+            for i in range(count)]
+
+
+def _buffer(work: dict | None, key, n: int, width: int, dtype) -> np.ndarray | None:
+    # the first n rows of work[key], a (work["rows"], width) array that is
+    # reallocated on a new shape or dtype; None (out= allocates) without work
     if work is None:
         return None
+    shape = (work["rows"], width)
     buf = work.get(key)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         work.pop(key, None)
         buf = work[key] = np.empty(shape, dtype)
-    return buf
+    return buf[:n]
 
 
 def _forward(layers, a: np.ndarray, work: dict | None = None) -> np.ndarray:
@@ -54,12 +77,12 @@ def _forward(layers, a: np.ndarray, work: dict | None = None) -> np.ndarray:
     """
     n, dtype = a.shape[0], a.dtype
     for i, (weights, biases) in enumerate(layers[:-1]):
-        s = np.matmul(a, weights.T, out=_buffer(work, ("s", i), (n, weights.shape[0]), dtype))
+        s = np.matmul(a, weights.T, out=_buffer(work, ("s", i), n, weights.shape[0], dtype))
         s += biases
         s *= W0
-        a = np.sin(s, out=s if work is None else _buffer(work, ("a", i), s.shape, dtype))
+        a = np.sin(s, out=s if work is None else _buffer(work, ("a", i), n, s.shape[1], dtype))
     weights, biases = layers[-1]
-    out = np.matmul(a, weights.T, out=_buffer(work, "out", (n, weights.shape[0]), dtype))
+    out = np.matmul(a, weights.T, out=_buffer(work, "out", n, weights.shape[0], dtype))
     out += biases
     return out
 
@@ -84,44 +107,72 @@ def mlp_loss(spec: SirenSpec, params: np.ndarray, batch: Batch) -> float:
     return float(np.mean(diff * diff))
 
 
+def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
+               grad_layers, accumulate: bool, work: dict) -> float:
+    """One tile's forward and backward; returns the tile's mean squared error.
+
+    Writes (or with `accumulate`, adds) the tile's contribution to each
+    layer's (gw, gb) in grad_layers.
+    """
+    n, dtype = inputs.shape[0], inputs.dtype
+    diff = _forward(layers, inputs, work)
+    diff -= targets
+    square = np.multiply(diff, diff, out=_buffer(work, "square", n, diff.shape[1], dtype))
+    loss = float(np.mean(square))
+
+    dy = diff
+    dy *= scale
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        x = inputs if i == 0 else work["a", i - 1][:n]
+        if accumulate:
+            gw += dy.T @ x
+            gb += dy.sum(axis=0)
+        else:
+            np.matmul(dy.T, x, out=gw)
+            np.sum(dy, axis=0, out=gb)
+        if i > 0:
+            # ping-pong: dx must not land in the buffer dy is read from
+            dx = np.matmul(dy, layers[i][0], out=_buffer(work, ("dx", i % 2), n, gw.shape[1], dtype))
+            s = work["s", i - 1][:n]
+            c = np.cos(s, out=s)  # w0 * z is no longer needed
+            c *= W0
+            dx *= c
+            dy = dx
+    return loss
+
+
 def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch,
                       work: dict | None = None) -> tuple[float, np.ndarray]:
     """MSE loss and its exact gradient with respect to every parameter.
 
     Arithmetic stays in the dtype of `params` (float32 in training,
     float64 in gradient checks); W0 is a python float so no accidental
-    upcast happens. `work` is a caller-owned dict whose buffers the next
-    call on the same shapes reuses (None: fresh ones); the result is
-    bitwise the same either way, and the gradient is a new vector.
+    upcast happens. The batch runs forward and backward one row tile
+    (row_tiles) at a time: the first tile writes each layer's gradient and
+    later tiles add to it, so a batch of one tile gets exactly the untiled
+    arithmetic. `work` is a caller-owned dict of buffers for one tile,
+    which every tile and the next call on the same shapes reuse (None:
+    fresh ones); the result is bitwise the same either way, and the
+    gradient is a new vector.
     """
     if work is None:
         work = {}
     layers = unflatten(spec, params)
     inputs = _inputs(spec, params, batch.inputs)
     targets = np.asarray(batch.targets, dtype=params.dtype)
-    diff = _forward(layers, inputs, work)
-    diff -= targets
-    square = np.multiply(diff, diff, out=_buffer(work, "square", diff.shape, diff.dtype))
-    loss = float(np.mean(square))
-
-    # d(mean of diff^2)/d(pred); total entry count normalizes the mean
-    dy = diff
-    dy *= 2.0 / dy.size
+    n = inputs.shape[0]
+    tiles = row_tiles(n)
+    work["rows"] = n - tiles[-1].start  # the last tile is the longest
+    # d(mean of diff^2)/d(pred); the batch's entry count normalizes the mean
+    scale = 2.0 / (n * spec.out_dim)
 
     grads = np.empty_like(params)
     grad_layers = unflatten(spec, grads)
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grad_layers[i]
-        np.matmul(dy.T, inputs if i == 0 else work["a", i - 1], out=gw)
-        np.sum(dy, axis=0, out=gb)
-        if i > 0:
-            # ping-pong: dx must not land in the buffer dy is read from
-            dx = np.matmul(dy, layers[i][0],
-                           out=_buffer(work, ("dx", i % 2), (dy.shape[0], gw.shape[1]), dy.dtype))
-            c = np.cos(work["s", i - 1], out=work["s", i - 1])  # w0 * z is no longer needed
-            c *= W0
-            dx *= c
-            dy = dx
+    loss = 0.0
+    for t, rows in enumerate(tiles):
+        tile_loss = _tile_step(layers, inputs[rows], targets[rows], scale, grad_layers, t > 0, work)
+        loss += tile_loss * ((rows.stop - rows.start) / n)
     return loss, grads
 
 

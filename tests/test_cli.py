@@ -206,6 +206,79 @@ def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, ne
     assert not any((tmp_path / "r.hdr").iterdir())
 
 
+@pytest.mark.parametrize("out, csv, needle", [
+    ("x.hsin", "x.hsin", "--history-csv is the same file as --out"),
+    ("c.raw", None, "--out is the same file as --input"),
+    ("c.hdr", None, "--out is the same file as the --input .hdr"),
+    ("sub/../c.raw", None, "--out is the same file as --input"),
+    ("y.hsin", "c.raw", "--history-csv is the same file as --input"),
+    ("y.hsin", "c.hdr", "--history-csv is the same file as the --input .hdr"),
+], ids=["out-is-csv", "out-is-input", "out-is-input-hdr", "out-resolves-to-input",
+        "csv-is-input", "csv-is-input-hdr"])
+def test_compress_refuses_to_overwrite_its_own_files(tmp_path, capsys, monkeypatch,
+                                                     out, csv, needle):
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 4, 4, 2, seed=7), raw)
+    (tmp_path / "sub").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("overfit must not run")
+
+    monkeypatch.setattr(hsin.encoder, "overfit", no_training)
+    argv = ["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+            "--iters", "10", "--out", str(tmp_path / out)]
+    if csv is not None:
+        argv += ["--history-csv", str(tmp_path / csv)]
+    assert cli.run(argv) == 2
+    assert needle in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("src, out, needle", [
+    ("c.hsin", "c.hsin", "--out is the same file as --in"),
+    ("r.hdr", "r.raw", "the --out .hdr is the same file as --in"),
+    ("c.hsin", "sub/../c.hsin", "--out is the same file as --in"),
+], ids=["out-is-in", "out-hdr-is-in", "out-resolves-to-in"])
+def test_decompress_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch,
+                                                   src, out, needle):
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 4, 4, 2, seed=8), raw)
+    hsn = tmp_path / src
+    assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+                    "--iters", "10", "--out", str(hsn)]) == 0
+    capsys.readouterr()
+    (tmp_path / "sub").mkdir()
+    blob = hsn.read_bytes()
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decompress must not run")
+
+    monkeypatch.setattr(cli, "decompress", no_decoding)
+    assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert hsn.read_bytes() == blob
+    assert not (tmp_path / "r.raw").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a checkout runs the CLI as `python -m hsin` (and `python -m hsin.cli`)
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for module, name in (("hsin", "a.raw"), ("hsin.cli", "b.raw")):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", module, "synth", "--kind", "random",
+                               "--dims", "3x2x2", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"out={out}"
+        assert open_cube(out).data.size == 12
+    proc = subprocess.run([sys.executable, "-m", "hsin", "synth"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and "error:" in proc.stderr
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("random", 4, 4, 2, seed=0), raw)

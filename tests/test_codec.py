@@ -20,6 +20,7 @@ from hsin import (
     serialize,
 )
 import hsin.codec
+import hsin.nn
 from hsin.codec import quantize, reconstruct_normalized
 from hsin.cube import ScaleInfo, save_cube
 from hsin.nn import mlp_forward
@@ -295,19 +296,28 @@ def test_decompress_half_equals_dequantized_full32_eval():
     assert np.array_equal(decompress(enc_h).data, decompress(enc_f).data)
 
 
-@pytest.mark.parametrize("width, height", [(2, 3), (7, 3), (5, 4), (11, 2)],
+@pytest.mark.parametrize("width, height, tiles", [(2, 3, 1), (7, 3, 3), (5, 4, 2), (11, 2, 3)],
                          ids=["under-one-tile", "whole-tiles", "ragged-last-tile", "one-row-left"])
-def test_tiled_decode_equals_untiled_evaluation(monkeypatch, width, height):
+def test_tiled_decode_equals_untiled_evaluation(monkeypatch, width, height, tiles):
     # 6, 21, 20 and 22 pixels in 7-row tiles; the tiled grid evaluation and
     # the raw-unit fill must match one untiled evaluation bitwise (a lone
     # one-row tile would round differently, through gemv)
-    monkeypatch.setattr(hsin.codec, "TILE_ROWS", 7)
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", 7)
     spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=32)
     params = init_params(spec, seed=1)
     params[-32:] = 0.5  # output biases: keep outputs inside [0, 1], clear of the clip
     untiled = mlp_forward(spec, params, build_grid(width, height).astype(np.float32))
     assert 0.0 < untiled.min() and untiled.max() < 1.0
+    calls = []
+
+    def counted_forward(spec_, params_, inputs):
+        calls.append(inputs.shape[0])
+        return mlp_forward(spec_, params_, inputs)
+
+    monkeypatch.setattr(hsin.codec, "mlp_forward", counted_forward)
     recon = reconstruct_normalized(spec, params, width, height)
+    assert len(calls) == tiles and sum(calls) == width * height
+    assert min(calls) >= min(7, width * height)  # the remainder joined the last tile
     assert recon.dtype == np.float32
     assert np.array_equal(recon, untiled)
 

@@ -108,8 +108,8 @@ def test_nan_loss_aborts_with_diagnostic(monkeypatch):
 
 
 def test_full_batch_overfit_peak_memory():
-    # the training buffers are released before each eval, so the peak is the
-    # larger of train and eval, not their sum. With a fresh array per
+    # the training buffers hold one row tile, so keeping them through each
+    # eval adds little to the eval's own peak. With a fresh array per
     # intermediate and an eval that widened a copy before subtracting, this
     # run peaked at 6,374,941 traced bytes (numpy 2.4, Python 3.11).
     norm, _ = normalize(synth_cube("band-sinusoid", 48, 48, 64))

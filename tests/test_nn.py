@@ -1,11 +1,14 @@
 """Forward/backward correctness against scalar oracles and finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hsin.nn import Batch, mlp_forward, mlp_loss, mlp_loss_and_grad, numeric_gradient
+import hsin.nn
+from hsin.nn import (TILE_ROWS, Batch, mlp_forward, mlp_loss, mlp_loss_and_grad,
+                     numeric_gradient, row_tiles)
 from hsin.siren import SirenSpec, init_params, param_count
 from conftest import reference_loss_and_grad, rel_err, scalar_forward, scalar_loss
 
@@ -106,6 +109,70 @@ def test_workspace_step_is_bitwise_the_fresh_step(dtype, n_hidden):
         fresh_loss, fresh_grad = mlp_loss_and_grad(spec, params, batch)
         assert fresh_loss == loss and np.array_equal(fresh_grad, grad)
         params = params - dtype(1e-2) * grad
+
+
+def test_row_tiles_remainder_joins_last(monkeypatch):
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", 7)
+    assert row_tiles(1) == [slice(0, 1)]
+    assert row_tiles(13) == [slice(0, 13)]
+    assert row_tiles(14) == [slice(0, 7), slice(7, 14)]
+    assert row_tiles(20) == [slice(0, 7), slice(7, 20)]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_tiled_step_matches_untiled_reference(monkeypatch, dtype, tol):
+    # 7-row tiles: 6, 7 and 13 rows are one tile (bitwise the untiled step);
+    # 14, 15 and 29 rows are two, two and four tiles whose contributions
+    # are summed in a different order
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", 7)
+    spec = SirenSpec(n_hidden=3, hidden_width=12, out_dim=5)
+    params = init_params(spec, seed=4).astype(dtype)
+    rng = np.random.default_rng(4)
+    work = {}
+    for rows in (6, 7, 13, 14, 15, 29, 13):
+        batch = Batch(rng.uniform(-1, 1, (rows, 2)).astype(dtype),
+                      rng.uniform(0, 1, (rows, spec.out_dim)).astype(dtype))
+        loss, grad = mlp_loss_and_grad(spec, params, batch, work)
+        want_loss, want_grad = reference_loss_and_grad(spec, params, batch)
+        assert grad.dtype == dtype
+        if rows < 14:
+            assert loss == want_loss and np.array_equal(grad, want_grad)
+        assert abs(loss - want_loss) <= tol * want_loss
+        assert np.max(np.abs(grad - want_grad)) <= tol * np.max(np.abs(want_grad))
+        assert work["out"].shape[0] == rows - row_tiles(rows)[-1].start  # one tile's rows
+
+
+def test_tiled_gradient_matches_finite_differences(monkeypatch):
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", 7)
+    rng = np.random.default_rng(16)
+    spec, params, _ = random_net(rng)
+    batch = Batch(rng.uniform(-1.0, 1.0, (23, spec.in_dim)),
+                  rng.uniform(0.0, 1.0, (23, spec.out_dim)))
+    assert len(row_tiles(23)) == 3
+    _, analytic = mlp_loss_and_grad(spec, params, batch)
+    assert rel_err(analytic, numeric_gradient(spec, params, batch)) < 1e-4
+
+
+def test_step_peak_memory_is_one_tile():
+    # 16 tiles of rows: the step's buffers hold one tile, so its peak is a
+    # small multiple of one tile's activations (16 times that if untiled)
+    spec = SirenSpec(n_hidden=4, hidden_width=32, out_dim=16)
+    params = init_params(spec, seed=5)
+    rows = 16 * TILE_ROWS
+    rng = np.random.default_rng(5)
+    batch = Batch(rng.uniform(-1, 1, (rows, 2)).astype(np.float32),
+                  rng.uniform(0, 1, (rows, spec.out_dim)).astype(np.float32))
+    # w0*z and sine per hidden layer, two backprop buffers, output and square
+    tile_bytes = 4 * TILE_ROWS * (2 * spec.n_hidden * spec.hidden_width
+                                  + 2 * spec.hidden_width + 2 * spec.out_dim)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mlp_loss_and_grad(spec, params, batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tile_bytes
 
 
 def test_forward_shape_checks():
