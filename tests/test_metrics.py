@@ -1,6 +1,7 @@
 """Distortion and rate metric identities and worked values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ def test_ssim_mean_averages_bands():
         ssim_band(a.band_matrix()[1], b.band_matrix()[1]),
     ]
     assert ssim_mean(a, b) == pytest.approx(np.mean(per_band), rel=1e-15)
+
+
+def test_ssim_mean_widens_one_band_at_a_time():
+    # the compress report's pair: float64 bands against a transposed float32
+    # reconstruction. Widening each band on its own gives the bits of a
+    # float64 copy of the whole reconstruction and holds a few bands at a
+    # time, not the 64 bands of such a copy
+    rng = np.random.default_rng(11)
+    bands, pixels = 64, 4096
+    ref = rng.random((bands, pixels))
+    recon = (ref.T + rng.normal(0, 0.01, (pixels, bands))).astype(np.float32)
+    want = ssim_mean(ref, np.array(recon.T, dtype=np.float64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = ssim_mean(ref, recon.T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 8 * 8 * pixels
 
 
 def test_ssim_dimension_mismatch():
