@@ -56,33 +56,18 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return w, h, c
 
 
-def _check_writable(path: str | Path | None) -> None:
-    # fail before the work, not after it, when an output cannot be written
-    if path is None:
-        return
-    if not Path(path).parent.is_dir():
-        raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
-    if Path(path).is_dir():
-        raise IsADirectoryError(f"cannot write {path}: it is a directory")
-
-
-def _check_cube_writable(path: str) -> None:
-    # save_cube writes the .hdr sidecar beside the data file as well, and
-    # a data file named *.hdr would be overwritten by its own header
-    if header_path(path) == Path(path):
-        raise OSError(f"cannot write {path}: it is its own .hdr sidecar")
-    _check_writable(path)
-    _check_writable(header_path(path))
-
-
-def _check_distinct(reads: list[tuple[str, str | Path]],
-                    writes: list[tuple[str, str | Path | None]]) -> None:
-    # an output that is one of the inputs, or another output, would be
-    # overwritten: refuse before any work, comparing resolved paths
+def _check_outputs(reads: list[tuple[str, str | Path]],
+                   writes: list[tuple[str, str | Path | None]]) -> None:
+    # fail before any work, not after it, when an output cannot be written
+    # or would overwrite an input or another output (resolved paths compared)
     taken = {Path(path).resolve(): name for name, path in reads}
     for name, path in writes:
         if path is None:
             continue
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
         key = Path(path).resolve()
         if key in taken:
             raise OSError(f"cannot write {path}: {name} is the same file as {taken[key]}")
@@ -149,10 +134,8 @@ def _cmd_compress(args) -> int:
     if (args.sample_window is None) != (args.sample_rate is None):
         raise _UsageError("--sample-window and --sample-rate must be given together")
 
-    _check_writable(args.out)
-    _check_writable(args.history)
-    _check_distinct([("--input", args.input), ("the --input .hdr", header_path(args.input))],
-                    [("--out", args.out), ("--history-csv", args.history)])
+    _check_outputs([("--input", args.input), ("the --input .hdr", header_path(args.input))],
+                   [("--out", args.out), ("--history-csv", args.history)])
 
     cube = open_cube(args.input)
     sample = None
@@ -185,9 +168,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    _check_cube_writable(args.out)
-    _check_distinct([("--in", args.input)],
-                    [("--out", args.out), ("the --out .hdr", header_path(args.out))])
+    _check_outputs([("--in", args.input)],
+                   [("--out", args.out), ("the --out .hdr", header_path(args.out))])
     try:
         blob = Path(args.input).read_bytes()
     except OSError as exc:
@@ -204,14 +186,16 @@ def _cmd_decompress(args) -> int:
 def _cmd_metrics(args) -> int:
     orig = open_cube(args.orig)
     recon = open_cube(args.recon)
+    da = (orig.width, orig.height, orig.bands)
+    db = (recon.width, recon.height, recon.bands)
+    if da != db:
+        raise ValueError(f"cube dimensions differ: {da} vs {db}")
     lo, hi = orig.value_range
     peak = hi - lo if hi > lo else 1.0
-    m = mse(orig, recon)
-    report = QualityReport(
-        mse=m,
-        psnr=psnr_from_mse(m, peak),
-        ssim_mean=ssim_mean(orig, recon, dynamic_range=peak),
-    )
+    x, y = orig.band_matrix(), recon.band_matrix()
+    m = mse(x, y)
+    report = QualityReport(mse=m, psnr=psnr_from_mse(m, peak),
+                           ssim_mean=ssim_mean(x, y, dynamic_range=peak))
     print(report.to_text())
     return 0
 
@@ -231,7 +215,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_synth(args) -> int:
     w, h, c = _parse_dims(args.dims)
-    _check_cube_writable(args.out)
+    _check_outputs([], [("--out", args.out), ("the --out .hdr", header_path(args.out))])
     cube = synth_cube(args.kind, w, h, c, seed=args.seed)
     save_cube(cube, args.out)
     print(f"out={args.out}")

@@ -193,7 +193,7 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
     report = QualityReport(
         mse=m,
         psnr=psnr_from_mse(m),
-        ssim_mean=ssim_mean(normalized, recon.T),
+        ssim_mean=ssim_mean(normalized.band_matrix(), recon.T),
         bpppb=bpppb(param_count(spec), payload_bits(cfg.half),
                     cube.width, cube.height, cube.bands),
         compress_seconds=compress_seconds,

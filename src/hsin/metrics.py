@@ -1,9 +1,10 @@
 """Rate and distortion metrics: MSE, PSNR, band-averaged global SSIM, bpppb.
 
-Every metric accepts either HyperCube objects or bare arrays and accumulates
-in float64. SSIM here uses one set of global statistics per band (means,
-variances, covariance over the whole band) rather than a sliding window;
-the per-band scores are averaged over the spectral axis.
+The cube metrics take two (bands, n_pixels) arrays of one shape, such as
+cube.band_matrix(), and accumulate in float64. SSIM here uses one set of
+global statistics per band (means, variances, covariance over the whole
+band) rather than a sliding window; the per-band scores are averaged over
+the spectral axis.
 """
 
 from __future__ import annotations
@@ -13,41 +14,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cube import HyperCube
 from .nn import row_tiles
 
 
-def _flat(a) -> np.ndarray:
-    if isinstance(a, HyperCube):
-        return a.data
-    return np.asarray(a, dtype=np.float64).ravel()
+def _band_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.asarray(a), np.asarray(b)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"expected two (bands, n_pixels) arrays of one shape, "
+                         f"got {x.shape} and {y.shape}")
+    return x, y
 
 
 def mse(a, b) -> float:
-    """Mean squared error over every sample of the cube.
+    """Mean squared error over every sample of two (bands, n_pixels) arrays.
 
-    Arrays must have the same shape. A 2-D pair is scored in tiles of
-    columns (hsin.nn.row_tiles over its last axis), each subtracted as it
-    lies: a transposed view is read in place, not copied, and only one
-    tile's difference is held at a time.
+    The pair is scored in tiles of columns (hsin.nn.row_tiles over the
+    pixel axis), each subtracted as it lies: a transposed view is read in
+    place, not copied, and only one tile's difference is held at a time.
     """
-    if isinstance(a, HyperCube) and isinstance(b, HyperCube):
-        da = (a.width, a.height, a.bands)
-        db = (b.width, b.height, b.bands)
-        if da != db:
-            raise ValueError(f"cube dimensions differ: {da} vs {db}")
-    x = a.data if isinstance(a, HyperCube) else np.asarray(a)
-    y = b.data if isinstance(b, HyperCube) else np.asarray(b)
-    if x.shape != y.shape:
-        raise ValueError(f"shapes differ: {x.shape} vs {y.shape}")
-    if x.ndim != 2:
-        return _sum_square_diff(x, y) / x.size
+    x, y = _band_pair(a, b)
     return sum(_sum_square_diff(x[:, c], y[:, c]) for c in row_tiles(x.shape[1])) / x.size
 
 
 def _sum_square_diff(x: np.ndarray, y: np.ndarray) -> float:
     # widen while subtracting (exact from float32, so the same bits as
-    # float64 copies would give): the difference is the one float64 array
+    # float64 copies would give): the difference is the one float64 array,
+    # freed on return, before the next tile's is made
     d = np.subtract(x, y, dtype=np.float64)
     d *= d
     return float(d.sum())
@@ -63,7 +55,7 @@ def psnr_from_mse(m: float, peak: float = 1.0) -> float:
 
 
 def psnr(a, b, peak: float = 1.0) -> float:
-    """PSNR of two cubes or arrays; +inf when the inputs are identical."""
+    """PSNR of two (bands, n_pixels) arrays; +inf when they are identical."""
     return psnr_from_mse(mse(a, b), peak)
 
 
@@ -76,8 +68,8 @@ def ssim_band(x, y, dynamic_range: float = 1.0) -> float:
     """
     if not dynamic_range > 0:
         raise ValueError(f"dynamic_range must be positive, got {dynamic_range!r}")
-    xv = _flat(x)
-    yv = _flat(y)
+    xv = np.asarray(x, dtype=np.float64).ravel()
+    yv = np.asarray(y, dtype=np.float64).ravel()
     if xv.shape != yv.shape:
         raise ValueError(f"band sizes differ: {xv.size} vs {yv.size}")
     c1 = (0.01 * dynamic_range) ** 2
@@ -94,16 +86,6 @@ def ssim_band(x, y, dynamic_range: float = 1.0) -> float:
     return num / den
 
 
-def _band_rows(a) -> np.ndarray:
-    """(bands, n_pixels) rows for a cube or an array shaped that way, as it lies."""
-    if isinstance(a, HyperCube):
-        return a.band_matrix()
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise ValueError("expected a HyperCube or a (bands, n_pixels) array")
-    return arr
-
-
 def ssim_mean(a, b, dynamic_range: float = 1.0) -> float:
     """ssim_band averaged across all spectral bands.
 
@@ -114,10 +96,7 @@ def ssim_mean(a, b, dynamic_range: float = 1.0) -> float:
     peak RSS by 37 MB at 145x145x220 whenever the allocator had kept those
     freed arrays.
     """
-    xa = _band_rows(a)
-    xb = _band_rows(b)
-    if xa.shape != xb.shape:
-        raise ValueError(f"band layouts differ: {xa.shape} vs {xb.shape}")
+    xa, xb = _band_pair(a, b)
     scores = [ssim_band(xa[k], xb[k], dynamic_range) for k in range(xa.shape[0])]
     return float(np.mean(scores))
 

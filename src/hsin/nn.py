@@ -99,14 +99,6 @@ def mlp_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.n
     return _forward(unflatten(spec, params), _inputs(spec, params, inputs))
 
 
-def mlp_loss(spec: SirenSpec, params: np.ndarray, batch: Batch) -> float:
-    """Mean squared error over every entry of the batch output."""
-    pred = mlp_forward(spec, params, batch.inputs)
-    targets = np.asarray(batch.targets, dtype=params.dtype)
-    diff = pred - targets
-    return float(np.mean(diff * diff))
-
-
 def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
                grad_layers, accumulate: bool, work: dict) -> float:
     """One tile's forward and backward; returns the tile's mean squared error.
@@ -174,28 +166,3 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch,
         tile_loss = _tile_step(layers, inputs[rows], targets[rows], scale, grad_layers, t > 0, work)
         loss += tile_loss * ((rows.stop - rows.start) / n)
     return loss, grads
-
-
-def numeric_gradient(spec: SirenSpec, params: np.ndarray, batch: Batch, eps: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient, one coordinate at a time.
-
-    Always evaluated in float64; quadratic truncation error is O(eps^2)
-    with roundoff O(machine_eps / eps), so eps near 1e-4 balances both.
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    p = np.asarray(params, dtype=np.float64).copy()
-    batch64 = Batch(
-        np.asarray(batch.inputs, dtype=np.float64),
-        np.asarray(batch.targets, dtype=np.float64),
-    )
-    grad = np.empty_like(p)
-    for i in range(p.size):
-        saved = p[i]
-        p[i] = saved + eps
-        hi = mlp_loss(spec, p, batch64)
-        p[i] = saved - eps
-        lo = mlp_loss(spec, p, batch64)
-        p[i] = saved
-        grad[i] = (hi - lo) / (2.0 * eps)
-    return grad

@@ -2,7 +2,9 @@
 
 These oracles deliberately avoid the package's own vectorized code paths
 (manual offset arithmetic, scalar loops, CPython's struct converter) so that
-agreement between the two routes is meaningful.
+agreement between the two routes is meaningful. The one exception is the
+gradient-check oracle (mlp_loss, numeric_gradient): it differences the
+package's forward pass, which test_nn checks against scalar_forward.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import struct
 import numpy as np
 
 from hsin import HyperCube, SirenSpec
+from hsin.nn import Batch, mlp_forward
 from hsin.siren import W0, unflatten
 
 
@@ -54,6 +57,39 @@ def scalar_loss(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray,
             d = pred[r, c] - t[r, c]
             total += d * d
     return total / pred.size
+
+
+def mlp_loss(spec: SirenSpec, params: np.ndarray, batch: Batch) -> float:
+    """Mean squared error over every entry of the batch output."""
+    pred = mlp_forward(spec, params, batch.inputs)
+    targets = np.asarray(batch.targets, dtype=params.dtype)
+    diff = pred - targets
+    return float(np.mean(diff * diff))
+
+
+def numeric_gradient(spec: SirenSpec, params: np.ndarray, batch: Batch, eps: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient, one coordinate at a time.
+
+    Always evaluated in float64; quadratic truncation error is O(eps^2)
+    with roundoff O(machine_eps / eps), so eps near 1e-4 balances both.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    p = np.asarray(params, dtype=np.float64).copy()
+    batch64 = Batch(
+        np.asarray(batch.inputs, dtype=np.float64),
+        np.asarray(batch.targets, dtype=np.float64),
+    )
+    grad = np.empty_like(p)
+    for i in range(p.size):
+        saved = p[i]
+        p[i] = saved + eps
+        hi = mlp_loss(spec, p, batch64)
+        p[i] = saved - eps
+        lo = mlp_loss(spec, p, batch64)
+        p[i] = saved
+        grad[i] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def half_bits(value: float) -> int:

@@ -12,7 +12,8 @@ import pytest
 import hsin
 import hsin.cli as cli
 import hsin.encoder
-from hsin import HalfRangeError, TrainingDiverged, open_cube, synth_cube, save_cube
+from hsin import (HalfRangeError, TrainingDiverged, mse, open_cube, psnr, save_cube, ssim_mean,
+                  synth_cube)
 
 
 def parse_report(captured: str) -> dict:
@@ -181,7 +182,7 @@ def test_compress_fails_before_training(tmp_path, capsys, monkeypatch,
     ("missing/r.raw", "does not exist"),
     ("adir", "is a directory"),
     ("r.raw", "r.hdr: it is a directory"),
-    ("x.hdr", "x.hdr: it is its own .hdr sidecar"),
+    ("x.hdr", "x.hdr: the --out .hdr is the same file as --out"),
 ], ids=["out-dir-missing", "out-is-dir", "hdr-is-dir", "out-is-hdr"])
 def test_decompress_fails_before_decoding(tmp_path, capsys, monkeypatch, out, needle):
     raw = tmp_path / "c.raw"
@@ -327,6 +328,30 @@ def test_truncated_cube_exits_2(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+def test_metrics_scores_band_matrices(tmp_path, capsys):
+    # cubes whose dims differ exit 1 before any score is printed, also when
+    # only width and height are swapped (the same sample count); a matching
+    # pair prints the scores of the two band matrices, peak = orig's range
+    paths = {}
+    for name, kind, dims in [("orig", "random", (4, 6, 2)), ("swapped", "random", (6, 4, 2)),
+                             ("deeper", "random", (4, 6, 3)), ("recon", "band-sinusoid", (4, 6, 2))]:
+        paths[name] = tmp_path / f"{name}.raw"
+        save_cube(synth_cube(kind, *dims, seed=1), paths[name])
+    for other in ("swapped", "deeper"):
+        assert cli.run(["metrics", "--orig", str(paths["orig"]), "--recon", str(paths[other])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cube dimensions differ" in captured.err
+    assert cli.run(["metrics", "--orig", str(paths["orig"]), "--recon", str(paths["recon"])]) == 0
+    report = parse_report(capsys.readouterr().out)
+    orig, recon = open_cube(paths["orig"]), open_cube(paths["recon"])
+    lo, hi = orig.value_range
+    x, y = orig.band_matrix(), recon.band_matrix()
+    assert float(report["mse"]) == mse(x, y)
+    assert float(report["psnr"]) == psnr(x, y, peak=hi - lo)
+    assert float(report["ssim_mean"]) == ssim_mean(x, y, dynamic_range=hi - lo)
+
+
 def test_non_finite_cube_samples_exit_2(tmp_path, capsys):
     for name, bad in (("nan", np.nan), ("inf", np.inf)):
         raw = tmp_path / f"{name}.raw"
@@ -422,7 +447,7 @@ def test_synth_fails_before_writing(tmp_path, capsys):
     # the samples
     out = tmp_path / "s.hdr"
     assert cli.run(["synth", "--kind", "random", "--dims", "4x4x2", "--out", str(out)]) == 2
-    assert "s.hdr: it is its own .hdr sidecar" in capsys.readouterr().err
+    assert "s.hdr: the --out .hdr is the same file as --out" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from hsin import QualityReport, bpppb, mse, psnr, ssim_mean, synth_cube
 from hsin.metrics import psnr_from_mse, ssim_band
+from hsin.nn import TILE_ROWS
 from conftest import make_cube
 
 
 # ---------------------------------------------------------------------- mse
 
 def test_mse_hand_values():
-    assert mse(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 1.0
+    assert mse(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])) == 1.0
     a = make_cube(2, 1, 1, [0.0, 0.0])
     b = make_cube(2, 1, 1, [1.0, 1.0])
-    assert mse(a, b) == 1.0
+    assert mse(a.band_matrix(), b.band_matrix()) == 1.0
 
 
 def test_mse_counts_every_band_entry():
@@ -28,22 +29,53 @@ def test_mse_counts_every_band_entry():
     wrong = np.zeros(8)
     wrong[5] = 2.0
     b = make_cube(2, 2, 2, wrong)
-    assert mse(a, b) == 4.0 / 8.0
+    assert mse(a.band_matrix(), b.band_matrix()) == 4.0 / 8.0
 
 
 def test_mse_dimension_mismatch():
+    # same sample count, other layout (test_cli checks swapped cube dims)
     with pytest.raises(ValueError):
-        mse(make_cube(2, 1, 1, [0, 0]), make_cube(1, 2, 1, [0, 0]))
+        mse(np.zeros((1, 2)), np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        mse(np.zeros(3), np.zeros(4))
+        mse(np.zeros((1, 3)), np.zeros((1, 4)))
+
+
+def test_mse_holds_one_tile_difference_at_a_time():
+    # four column tiles of the compress report's pair (float64 bands against
+    # a transposed float32 reconstruction): the peak is one tile's float64
+    # difference, not two and not the whole pair's
+    bands, pixels = 64, 4 * TILE_ROWS
+    rng = np.random.default_rng(12)
+    ref = rng.random((bands, pixels))
+    recon = rng.random((pixels, bands)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mse(ref, recon.T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * bands * TILE_ROWS
+
+
+@pytest.mark.parametrize("metric, same", [(mse, 0.0), (psnr, math.inf), (ssim_mean, 1.0)])
+def test_metrics_take_band_matrices_only(metric, same):
+    cube = synth_cube("random", 3, 2, 2, seed=0)
+    assert metric(cube.band_matrix(), cube.band_matrix()) == same
+    with pytest.raises(ValueError):
+        metric(cube, cube)
+    with pytest.raises(ValueError):
+        metric(cube.data, cube.data)
+    with pytest.raises(ValueError):
+        metric(cube.band_matrix(), cube.band_matrix().T)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_mse_symmetric_zero_iff_equal(seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=24)
-    y = rng.normal(size=24)
+    x = rng.normal(size=(4, 6))
+    y = rng.normal(size=(4, 6))
     assert mse(x, y) == mse(y, x)
     assert mse(x, x) == 0.0
     if not np.array_equal(x, y):
@@ -53,26 +85,26 @@ def test_mse_symmetric_zero_iff_equal(seed):
 # --------------------------------------------------------------------- psnr
 
 def test_psnr_log_identities():
-    a = np.zeros(100)
-    b = np.full(100, 0.01)
+    a = np.zeros((1, 100))
+    b = np.full((1, 100), 0.01)
     assert abs(psnr(a, b, peak=1.0) - 40.0) < 1e-12
-    c = np.full(100, 255.0)
-    assert psnr(np.zeros(100), c, peak=255.0) == 0.0
+    c = np.full((1, 100), 255.0)
+    assert psnr(np.zeros((1, 100)), c, peak=255.0) == 0.0
 
 
 def test_psnr_identical_is_infinite():
     cube = synth_cube("random", 4, 4, 3, seed=0)
-    assert psnr(cube, cube) == math.inf
+    assert psnr(cube.band_matrix(), cube.band_matrix()) == math.inf
 
 
 def test_psnr_monotone_in_mse():
-    a = np.zeros(10)
-    assert psnr(a, np.full(10, 0.1)) > psnr(a, np.full(10, 0.2))
+    a = np.zeros((1, 10))
+    assert psnr(a, np.full((1, 10), 0.1)) > psnr(a, np.full((1, 10), 0.2))
 
 
 def test_psnr_is_psnr_from_mse():
     rng = np.random.default_rng(3)
-    x, y = rng.random(50), rng.random(50)
+    x, y = rng.random((1, 50)), rng.random((1, 50))
     assert psnr(x, y, peak=2.0) == psnr_from_mse(mse(x, y), 2.0)
     assert psnr_from_mse(1e-4) == pytest.approx(40.0, rel=1e-15)
     assert psnr_from_mse(0.0) == math.inf
@@ -80,7 +112,7 @@ def test_psnr_is_psnr_from_mse():
 
 def test_psnr_peak_validation():
     with pytest.raises(ValueError):
-        psnr(np.zeros(2), np.zeros(2), peak=0.0)
+        psnr(np.zeros((1, 2)), np.zeros((1, 2)), peak=0.0)
     with pytest.raises(ValueError):
         psnr_from_mse(0.5, peak=-1.0)
 
@@ -89,7 +121,7 @@ def test_psnr_peak_validation():
 
 def test_ssim_identical_is_exactly_one():
     cube = synth_cube("band-sinusoid", 6, 5, 4)
-    assert ssim_mean(cube, cube) == 1.0
+    assert ssim_mean(cube.band_matrix(), cube.band_matrix()) == 1.0
     band = np.random.default_rng(1).random((5, 6))
     assert ssim_band(band, band) == 1.0
 
@@ -123,7 +155,7 @@ def test_ssim_mean_averages_bands():
         ssim_band(a.band_matrix()[0], b.band_matrix()[0]),
         ssim_band(a.band_matrix()[1], b.band_matrix()[1]),
     ]
-    assert ssim_mean(a, b) == pytest.approx(np.mean(per_band), rel=1e-15)
+    assert ssim_mean(a.band_matrix(), b.band_matrix()) == pytest.approx(np.mean(per_band), rel=1e-15)
 
 
 def test_ssim_mean_widens_one_band_at_a_time():

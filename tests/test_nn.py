@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import hsin.nn
-from hsin.nn import (TILE_ROWS, Batch, mlp_forward, mlp_loss, mlp_loss_and_grad,
-                     numeric_gradient, row_tiles)
+from hsin.nn import TILE_ROWS, Batch, mlp_forward, mlp_loss_and_grad, row_tiles
 from hsin.siren import SirenSpec, init_params, param_count
-from conftest import reference_loss_and_grad, rel_err, scalar_forward, scalar_loss
+from conftest import (mlp_loss, numeric_gradient, reference_loss_and_grad, rel_err,
+                      scalar_forward, scalar_loss)
 
 
 def random_net(rng, max_hidden=3, max_width=8, max_out=4, max_rows=16):
