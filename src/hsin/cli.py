@@ -1,7 +1,8 @@
 """Command-line front end for the codec pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable/malformed input or
-output I/O failure, 3 numeric failure (divergence, quantization overflow).
+Exit codes: 0 success, 1 usage error, 2 unreadable/malformed input, output
+I/O failure or out of memory, 3 numeric failure (divergence, quantization
+overflow).
 Reports go to stdout as key=value lines; diagnostics go to stderr.
 """
 
@@ -235,6 +236,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (CubeFormatError, BitstreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         # bad argument values that slipped past argparse (e.g. no feasible

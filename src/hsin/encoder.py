@@ -81,7 +81,6 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
 
     params = init_params(spec, cfg.seed)
     state = fresh_state(params)
-    work: dict = {}  # one row tile's training buffers, reused every iteration
 
     best_params = None
     best_psnr = -math.inf
@@ -94,7 +93,7 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         else:
             idx = sample_indices(cube.width, cube.height, cfg.sample, cfg.seed, epoch)
             batch = gather_batch(cube, grid, idx)
-        loss, grads = mlp_loss_and_grad(spec, params, batch, work)
+        loss, grads = mlp_loss_and_grad(spec, params, batch)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss!r} at iteration {epoch}")
         params, state = adam_step(state, params, grads)

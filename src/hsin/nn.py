@@ -54,35 +54,24 @@ def row_tiles(n: int) -> list[slice]:
             for i in range(count)]
 
 
-def _buffer(work: dict | None, key, n: int, width: int, dtype) -> np.ndarray | None:
-    # the first n rows of work[key], a (work["rows"], width) array that is
-    # reallocated on a new shape or dtype; None (out= allocates) without work
-    if work is None:
-        return None
-    shape = (work["rows"], width)
-    buf = work.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        work.pop(key, None)
-        buf = work[key] = np.empty(shape, dtype)
-    return buf[:n]
-
-
-def _forward(layers, a: np.ndarray, work: dict | None = None) -> np.ndarray:
+def _forward(layers, a: np.ndarray, keep: list | None = None) -> np.ndarray:
     """sin(w0 * (a @ W.T + b)) per hidden layer, then the affine output layer.
 
-    Evaluation and training share this loop. Given a workspace, each hidden
-    layer i leaves w0 * z in work["s", i] and its sine in work["a", i]
-    (what backprop needs), in buffers reused from call to call; without
-    one, each sine overwrites its own pre-activation.
+    Evaluation and training share this loop. Evaluation takes each sine in
+    place of its pre-activation. Training passes a list `keep`, and each
+    hidden layer appends (w0 * z, sine), which backprop reads.
     """
-    n, dtype = a.shape[0], a.dtype
-    for i, (weights, biases) in enumerate(layers[:-1]):
-        s = np.matmul(a, weights.T, out=_buffer(work, ("s", i), n, weights.shape[0], dtype))
+    for weights, biases in layers[:-1]:
+        s = a @ weights.T
         s += biases
         s *= W0
-        a = np.sin(s, out=s if work is None else _buffer(work, ("a", i), n, s.shape[1], dtype))
+        if keep is None:
+            a = np.sin(s, out=s)
+        else:
+            a = np.sin(s)
+            keep.append((s, a))
     weights, biases = layers[-1]
-    out = np.matmul(a, weights.T, out=_buffer(work, "out", n, weights.shape[0], dtype))
+    out = a @ weights.T
     out += biases
     return out
 
@@ -100,23 +89,20 @@ def mlp_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.n
 
 
 def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
-               grad_layers, accumulate: bool, work: dict) -> float:
+               grad_layers, accumulate: bool) -> float:
     """One tile's forward and backward; returns the tile's mean squared error.
 
     Writes (or with `accumulate`, adds) the tile's contribution to each
-    layer's (gw, gb) in grad_layers.
+    layer's (gw, gb) in grad_layers. The tile's arrays die with the call.
     """
-    n, dtype = inputs.shape[0], inputs.dtype
-    diff = _forward(layers, inputs, work)
-    diff -= targets
-    square = np.multiply(diff, diff, out=_buffer(work, "square", n, diff.shape[1], dtype))
-    loss = float(np.mean(square))
-
-    dy = diff
-    dy *= scale
+    keep: list = []
+    dy = _forward(layers, inputs, keep)
+    dy -= targets
+    loss = float(np.mean(dy * dy))
+    dy *= scale  # d(loss)/d(pred)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        x = inputs if i == 0 else work["a", i - 1][:n]
+        x = inputs if i == 0 else keep[i - 1][1]
         if accumulate:
             gw += dy.T @ x
             gb += dy.sum(axis=0)
@@ -124,45 +110,36 @@ def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
             np.matmul(dy.T, x, out=gw)
             np.sum(dy, axis=0, out=gb)
         if i > 0:
-            # ping-pong: dx must not land in the buffer dy is read from
-            dx = np.matmul(dy, layers[i][0], out=_buffer(work, ("dx", i % 2), n, gw.shape[1], dtype))
-            s = work["s", i - 1][:n]
+            s = keep[i - 1][0]
             c = np.cos(s, out=s)  # w0 * z is no longer needed
             c *= W0
-            dx *= c
-            dy = dx
+            dy = dy @ layers[i][0]
+            dy *= c
     return loss
 
 
-def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch,
-                      work: dict | None = None) -> tuple[float, np.ndarray]:
+def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
     """MSE loss and its exact gradient with respect to every parameter.
 
     Arithmetic stays in the dtype of `params` (float32 in training,
     float64 in gradient checks); W0 is a python float so no accidental
     upcast happens. The batch runs forward and backward one row tile
-    (row_tiles) at a time: the first tile writes each layer's gradient and
-    later tiles add to it, so a batch of one tile gets exactly the untiled
-    arithmetic. `work` is a caller-owned dict of buffers for one tile,
-    which every tile and the next call on the same shapes reuse (None:
-    fresh ones); the result is bitwise the same either way, and the
-    gradient is a new vector.
+    (row_tiles) at a time, each tile in arrays of its own: the first tile
+    writes each layer's gradient and later tiles add to it, so a batch of
+    one tile gets exactly the untiled arithmetic. The gradient is a new
+    vector.
     """
-    if work is None:
-        work = {}
     layers = unflatten(spec, params)
     inputs = _inputs(spec, params, batch.inputs)
     targets = np.asarray(batch.targets, dtype=params.dtype)
     n = inputs.shape[0]
-    tiles = row_tiles(n)
-    work["rows"] = n - tiles[-1].start  # the last tile is the longest
     # d(mean of diff^2)/d(pred); the batch's entry count normalizes the mean
     scale = 2.0 / (n * spec.out_dim)
 
     grads = np.empty_like(params)
     grad_layers = unflatten(spec, grads)
     loss = 0.0
-    for t, rows in enumerate(tiles):
-        tile_loss = _tile_step(layers, inputs[rows], targets[rows], scale, grad_layers, t > 0, work)
+    for t, rows in enumerate(row_tiles(n)):
+        tile_loss = _tile_step(layers, inputs[rows], targets[rows], scale, grad_layers, t > 0)
         loss += tile_loss * ((rows.stop - rows.start) / n)
     return loss, grads

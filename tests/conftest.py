@@ -162,10 +162,10 @@ def loop_sample_indices(width: int, height: int, cfg, seed: int, epoch: int) -> 
 
 
 def reference_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch) -> tuple[float, np.ndarray]:
-    """The training step with a fresh array for every intermediate.
+    """The training step, untiled, with a fresh array for every intermediate.
 
-    Each operation is the out-of-place form of what the workspace step does
-    in place, so the two must agree bitwise.
+    Each operation is the out-of-place form of what `mlp_loss_and_grad`
+    does in place, so the two agree bitwise on a batch of one row tile.
     """
     layers = unflatten(spec, params)
     a = np.asarray(batch.inputs, dtype=params.dtype)

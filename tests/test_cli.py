@@ -14,6 +14,8 @@ import hsin.cli as cli
 import hsin.encoder
 from hsin import (HalfRangeError, TrainingDiverged, mse, open_cube, psnr, save_cube, ssim_mean,
                   synth_cube)
+from hsin.codec import EncodedImage, serialize
+from hsin.cube import ScaleInfo
 
 
 def parse_report(captured: str) -> dict:
@@ -278,6 +280,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "hsin", "synth"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and "error:" in proc.stderr
+
+
+def test_decompress_out_of_memory_exits_2(tmp_path):
+    # a 45-byte file whose header claims a 65535x65535x1 scene: its grid
+    # alone is 64 GiB. The child's address space is capped, so the request
+    # fails there; uncapped, an overcommitting host would grant it and the
+    # decoder would then fill it
+    resource = pytest.importorskip("resource")
+    enc = EncodedImage(width=65535, height=65535, bands=1, n_hidden=1, hidden_width=1,
+                       quantized=False, scale=ScaleInfo(0.0, 1.0),
+                       params=np.full(5, 0.5, dtype=np.float32))
+    hsn = tmp_path / "huge.hsin"
+    hsn.write_bytes(serialize(enc))
+    assert hsn.stat().st_size == 45
+    out = tmp_path / "r.raw"
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    # one BLAS thread, so the thread buffers fit well under the cap
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["HSIN_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    proc = subprocess.run([sys.executable, "-m", "hsin", "decompress", "--in", str(hsn),
+                           "--out", str(out)], env=env, preexec_fn=cap_address_space,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists() and not (tmp_path / "r.hdr").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

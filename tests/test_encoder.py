@@ -99,7 +99,7 @@ def test_nan_loss_aborts_with_diagnostic(monkeypatch):
     norm, _ = normalize(small_cube())
     spec = SirenSpec(n_hidden=1, hidden_width=8, out_dim=4)
 
-    def poisoned(spec_, params, batch, work=None):
+    def poisoned(spec_, params, batch):
         return math.nan, np.zeros(param_count(spec_), dtype=params.dtype)
 
     monkeypatch.setattr(hsin.encoder, "mlp_loss_and_grad", poisoned)
