@@ -23,7 +23,6 @@ from .codec import (
     HalfRangeError,
     decompress,
     deserialize,
-    encoded_size,
     serialize,
 )
 from .cube import CubeFormatError, HyperCube, normalize, open_cube, save_cube, synth_cube
@@ -40,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "synth_cube", "open_cube", "save_cube", "normalize", "HyperCube",
     "SirenSpec", "TrainConfig", "SampleConfig", "compress", "architecture_search",
-    "EncodedImage", "serialize", "deserialize", "decompress", "encoded_size",
+    "EncodedImage", "serialize", "deserialize", "decompress",
     "QualityReport", "mse", "psnr", "ssim_mean", "bpppb",
     "CubeFormatError", "BitstreamError", "HalfRangeError", "TrainingDiverged",
     "__version__",

@@ -19,7 +19,6 @@ from .codec import (
     HalfRangeError,
     decompress,
     deserialize,
-    encoded_size,
     payload_bits,
     serialize,
 )
@@ -154,7 +153,8 @@ def _cmd_compress(args) -> int:
     else:
         spec_or_budget = args.budget_bpppb
     enc, report = compress(cube, spec_or_budget, cfg)
-    Path(args.out).write_bytes(serialize(enc))
+    blob = serialize(enc)
+    Path(args.out).write_bytes(blob)
     if args.history is not None:
         with open(args.history, "w", newline="") as fh:
             csv.writer(fh).writerows(
@@ -163,7 +163,7 @@ def _cmd_compress(args) -> int:
     print(f"n_hidden={enc.n_hidden}")
     print(f"hidden_width={enc.hidden_width}")
     print(f"n_params={enc.params.size}")
-    print(f"file_bytes={encoded_size(enc)}")
+    print(f"file_bytes={len(blob)}")
     print(f"out={args.out}")
     return 0
 
@@ -204,13 +204,13 @@ def _cmd_metrics(args) -> int:
 def _cmd_search(args) -> int:
     cube = open_cube(args.input)
     normalized, _ = normalize(cube)
-    probe_cfg = TrainConfig(iterations=args.probe_iters, seed=args.seed, half=args.half)
-    spec = architecture_search(normalized, args.budget_bpppb, probe_cfg=probe_cfg)
+    spec = architecture_search(normalized, args.budget_bpppb, args.probe_iters,
+                               seed=args.seed, half=args.half)
     n = param_count(spec)
     print(f"n_hidden={spec.n_hidden}")
     print(f"hidden_width={spec.hidden_width}")
     print(f"n_params={n}")
-    print(f"bpppb={bpppb(n, payload_bits(probe_cfg.half), cube.width, cube.height, cube.bands)!r}")
+    print(f"bpppb={bpppb(n, payload_bits(args.half), cube.width, cube.height, cube.bands)!r}")
     return 0
 
 

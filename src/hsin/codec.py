@@ -131,11 +131,6 @@ class EncodedImage:
         return SirenSpec(n_hidden=self.n_hidden, hidden_width=self.hidden_width, out_dim=self.bands)
 
 
-def encoded_size(enc: EncodedImage) -> int:
-    """Exact byte length serialize will produce."""
-    return HEADER_BYTES + enc.params.size * payload_dtype(enc.quantized).itemsize
-
-
 def serialize(enc: EncodedImage) -> bytes:
     head = _HEADER.pack(
         MAGIC, VERSION, enc.width, enc.height, enc.bands,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,21 +112,21 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
 
 
 def architecture_search(cube: HyperCube, budget_bpppb: float,
-                        candidates: list[tuple[int, int]] | None = None,
-                        probe_cfg: TrainConfig | None = None) -> SirenSpec:
+                        iterations: int = DEFAULT_PROBE_ITERATIONS, seed: int = 0,
+                        half: bool = False,
+                        candidates: list[tuple[int, int]] | None = None) -> SirenSpec:
     """Pick the best (n_hidden, hidden_width) shape within a rate budget.
 
-    Candidates over budget are dropped; the rest each get a short probe run
-    on the (normalized) cube and the highest full-grid PSNR wins. Ties go to
-    fewer parameters, then fewer layers. A lone feasible candidate is
-    returned without training. A candidate the file format cannot store
-    raises ValueError before any probe runs.
+    Candidates over budget are dropped; the rest each get a full-batch probe,
+    TrainConfig(iterations, seed=seed, half=half), on the (normalized) cube
+    and the highest full-grid PSNR wins. Ties go to fewer parameters, then
+    fewer layers. A lone feasible candidate is returned without training. A
+    candidate the file format cannot store raises ValueError before any probe.
     """
     if candidates is None:
         candidates = DEFAULT_CANDIDATES
-    if probe_cfg is None:
-        probe_cfg = TrainConfig(iterations=DEFAULT_PROBE_ITERATIONS)
-    bits = payload_bits(probe_cfg.half)
+    probe = TrainConfig(iterations, seed=seed, half=half)
+    bits = payload_bits(half)
 
     feasible = []
     for n_h, w_h in candidates:
@@ -143,7 +143,7 @@ def architecture_search(cube: HyperCube, budget_bpppb: float,
     best_spec = None
     best_key = None
     for spec in feasible:
-        snap = overfit(cube, spec, probe_cfg)
+        snap = overfit(cube, spec, probe)
         key = (snap.psnr, -param_count(spec), -spec.n_hidden)
         if best_key is None or key > best_key:
             best_key = key
@@ -168,12 +168,9 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
 
     if isinstance(spec_or_budget, SirenSpec):
         spec = spec_or_budget
-        if spec.out_dim != cube.bands:
-            raise ValueError(f"spec.out_dim {spec.out_dim} != cube bands {cube.bands}")
         check_format(cube.width, cube.height, spec)
     else:
-        probe_cfg = replace(cfg, iterations=DEFAULT_PROBE_ITERATIONS)
-        spec = architecture_search(normalized, float(spec_or_budget), probe_cfg=probe_cfg)
+        spec = architecture_search(normalized, float(spec_or_budget), seed=cfg.seed, half=cfg.half)
 
     snap = overfit(normalized, spec, cfg)
     payload = quantize(snap.params) if cfg.half else snap.params

@@ -56,11 +56,22 @@ def _block_k(rate: float, npix: int) -> int:
     return min(npix, max(1, int(math.floor(rate * npix + 0.5))))
 
 
+def _spans(n: int, window: int) -> list[tuple[np.ndarray, int]]:
+    # (block starts, block size) along one axis: the full blocks, then the
+    # short edge block if window does not divide n
+    full = n // window
+    spans = [(np.arange(full) * window, window)] if full else []
+    if n % window:
+        spans.append((np.array([full * window]), n % window))
+    return spans
+
+
 def sample_indices(width: int, height: int, cfg: SampleConfig, seed: int, epoch: int) -> np.ndarray:
     """Sorted flat pixel indices drawn for one epoch.
 
-    Deterministic in (seed, epoch), a fresh draw every epoch. Blocks of
-    equal shape are drawn in one vectorized pass: uniform keys per pixel, k
+    Deterministic in (seed, epoch), a fresh draw every epoch. Each block
+    shape (interior, right edge, bottom edge, corner, in that order) is
+    drawn in one vectorized pass, row-major: uniform keys per pixel, k
     smallest kept, which makes every k-subset of a block equally likely.
     """
     if width < 1 or height < 1:
@@ -69,33 +80,18 @@ def sample_indices(width: int, height: int, cfg: SampleConfig, seed: int, epoch:
         raise ValueError("epoch must be >= 0")
     rng = np.random.default_rng([seed, epoch])
 
-    x_starts = np.arange(0, width, cfg.window)
-    y_starts = np.arange(0, height, cfg.window)
-    x_sizes = np.minimum(cfg.window, width - x_starts)
-    y_sizes = np.minimum(cfg.window, height - y_starts)
-
-    # group blocks by shape, in row-major order of each shape's first block
-    # and row-major within a group, so the stream of random draws is
-    # reproducible
-    n_x = x_starts.size
-    block_w = np.tile(x_sizes, y_starts.size)
-    block_h = np.repeat(y_sizes, n_x)
-    _, first, group = np.unique(block_w * (cfg.window + 1) + block_h,
-                                return_index=True, return_inverse=True)
-
     chunks = []
-    for g in np.argsort(first):
-        members = np.flatnonzero(group == g)
-        bw, bh = int(block_w[members[0]]), int(block_h[members[0]])
-        npix = bw * bh
-        k = _block_k(cfg.rate, npix)
-        ox = x_starts[members % n_x]
-        oy = y_starts[members // n_x]
-        keys = rng.random((members.size, npix))
-        sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        dy, dx = sel // bw, sel % bw
-        flat = (oy[:, None] + dy) * width + (ox[:, None] + dx)
-        chunks.append(flat.ravel())
+    for y_starts, bh in _spans(height, cfg.window):
+        for x_starts, bw in _spans(width, cfg.window):
+            npix = bw * bh
+            k = _block_k(cfg.rate, npix)
+            ox = np.tile(x_starts, y_starts.size)
+            oy = np.repeat(y_starts, x_starts.size)
+            keys = rng.random((ox.size, npix))
+            sel = np.argpartition(keys, k - 1, axis=1)[:, :k]
+            dy, dx = sel // bw, sel % bw
+            flat = (oy[:, None] + dy) * width + (ox[:, None] + dx)
+            chunks.append(flat.ravel())
     return np.sort(np.concatenate(chunks)).astype(np.int64)
 
 

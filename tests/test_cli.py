@@ -108,6 +108,22 @@ def test_search_half_picks_what_compress_half_picks(tmp_path, capsys):
     assert float(searched["bpppb"]) == 28.5
 
 
+def test_search_picks_what_compress_picks_whatever_its_training_flags(tmp_path, capsys):
+    # compress's probes are search's probes: its --eval-every and --sample-*
+    # set how the chosen net trains, not which net is chosen
+    raw = tmp_path / "r.raw"
+    save_cube(synth_cube("random", 16, 12, 8, seed=1), raw)
+    budget = ["--input", str(raw), "--budget-bpppb", "100", "--seed", "0"]
+    assert cli.run(["search", *budget]) == 0
+    searched = parse_report(capsys.readouterr().out)
+    assert cli.run(["compress", *budget, "--iters", "1", "--eval-every", "3",
+                    "--sample-window", "3", "--sample-rate", "0.25",
+                    "--out", str(tmp_path / "r.hsin")]) == 0
+    compressed = parse_report(capsys.readouterr().out)
+    for key in ("n_hidden", "hidden_width"):
+        assert searched[key] == compressed[key]
+
+
 def test_sampled_compress_flags(tmp_path, capsys):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("smooth-gradient", 12, 12, 2), raw)

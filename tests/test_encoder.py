@@ -139,11 +139,8 @@ def test_search_single_feasible_returned_without_training():
     norm, _ = normalize(small_cube())
     n = param_count(SirenSpec(n_hidden=1, hidden_width=8, out_dim=4))
     tight = bpppb(n, 32, 16, 16, 4) + 1e-9
-    # probe_cfg iterations huge: would take forever if it actually trained
-    spec = architecture_search(
-        norm, tight, candidates=[(1, 8), (3, 64)],
-        probe_cfg=TrainConfig(iterations=10_000_000),
-    )
+    # probe iterations huge: would take forever if it actually trained
+    spec = architecture_search(norm, tight, 10_000_000, candidates=[(1, 8), (3, 64)])
     assert (spec.n_hidden, spec.hidden_width) == (1, 8)
 
 
@@ -151,8 +148,7 @@ def test_search_never_returns_over_budget():
     norm, _ = normalize(small_cube())
     candidates = [(1, 4), (1, 8), (2, 16)]
     budget = bpppb(param_count(SirenSpec(n_hidden=1, hidden_width=8, out_dim=4)), 32, 16, 16, 4)
-    probe = TrainConfig(iterations=50, eval_every=50)
-    spec = architecture_search(norm, budget, candidates=candidates, probe_cfg=probe)
+    spec = architecture_search(norm, budget, 50, candidates=candidates)
     got = bpppb(param_count(spec), 32, 16, 16, 4)
     assert got <= budget
 
@@ -160,16 +156,14 @@ def test_search_never_returns_over_budget():
 def test_search_empty_feasible_set_raises():
     norm, _ = normalize(small_cube())
     with pytest.raises(ValueError, match="budget|fits"):
-        architecture_search(norm, 1e-9, candidates=[(5, 100)],
-                            probe_cfg=TrainConfig(iterations=10))
+        architecture_search(norm, 1e-9, 10, candidates=[(5, 100)])
 
 
 def test_search_rejects_unstorable_candidate_before_probing():
     # the header stores hidden_width as uint8; probes this long would never end
     norm, _ = normalize(small_cube())
     with pytest.raises(ValueError, match="hidden_width"):
-        architecture_search(norm, 1e9, candidates=[(1, 8), (1, 256)],
-                            probe_cfg=TrainConfig(iterations=10_000_000))
+        architecture_search(norm, 1e9, 10_000_000, candidates=[(1, 8), (1, 256)])
 
 
 def test_search_wider_wins_on_smooth_cube():
@@ -177,11 +171,11 @@ def test_search_wider_wins_on_smooth_cube():
     # well as the narrow one after short probes, so the search picks it
     cube = synth_cube("smooth-gradient", 32, 32, 8)
     norm, _ = normalize(cube)
-    probe = TrainConfig(iterations=2000, eval_every=200)
+    probe = TrainConfig(2000)
     wide = overfit(norm, SirenSpec(n_hidden=2, hidden_width=64, out_dim=8), probe)
     narrow = overfit(norm, SirenSpec(n_hidden=2, hidden_width=8, out_dim=8), probe)
     assert wide.psnr >= narrow.psnr
-    spec = architecture_search(norm, 1e9, candidates=[(2, 8), (2, 64)], probe_cfg=probe)
+    spec = architecture_search(norm, 1e9, 2000, candidates=[(2, 8), (2, 64)])
     assert (spec.n_hidden, spec.hidden_width) == (2, 64)
 
 
@@ -190,12 +184,10 @@ def test_search_uses_half16_bits_for_budget():
     n = param_count(SirenSpec(n_hidden=2, hidden_width=16, out_dim=4))
     # budget that only fits (2,16) at 16 bits per parameter, not at 32
     budget = bpppb(n, 16, 16, 16, 4) + 1e-9
-    half_probe = TrainConfig(iterations=20, eval_every=20, half=True)
-    spec = architecture_search(norm, budget, candidates=[(2, 16)], probe_cfg=half_probe)
+    spec = architecture_search(norm, budget, 20, half=True, candidates=[(2, 16)])
     assert (spec.n_hidden, spec.hidden_width) == (2, 16)
     with pytest.raises(ValueError):
-        architecture_search(norm, budget, candidates=[(2, 16)],
-                            probe_cfg=TrainConfig(iterations=20))
+        architecture_search(norm, budget, 20, candidates=[(2, 16)])
 
 
 # ----------------------------------------------------------------- compress

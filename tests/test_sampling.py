@@ -97,10 +97,11 @@ def test_coverage_frequency_binomial():
 
 
 @pytest.mark.parametrize("window", [1, 3, 4, 7])
-@pytest.mark.parametrize("width, height", [(12, 12), (13, 11), (29, 17), (5, 3)],
-                         ids=["even", "ragged", "ragged-wide", "window-beyond-image"])
+@pytest.mark.parametrize("width, height", [(12, 12), (13, 11), (29, 17), (5, 3), (5, 17), (17, 5)],
+                         ids=["even", "ragged", "ragged-wide", "window-beyond-image",
+                              "short-x", "short-y"])
 def test_block_grouping_matches_loop_oracle(window, width, height):
-    # the vectorized grouping must keep the loop's group order, so every
+    # the block shapes must be drawn in the loop's group order, so every
     # draw from the (seed, epoch) stream lands on the same block
     for seed, epoch, rate in [(0, 0, 0.25), (7, 3, 0.5), (123, 41, 0.1), (2, 9, 1.0)]:
         cfg = SampleConfig(window=window, rate=rate)
