@@ -17,11 +17,12 @@ from .adam import TrainingDiverged
 from .codec import (
     BitstreamError,
     HalfRangeError,
-    decompress,
     deserialize,
     payload_bits,
     serialize,
 )
+# the CLI decodes straight to disk, under the name the bench traces
+from .codec import decompress_to as decompress
 from .cube import CubeFormatError, header_path, normalize, open_cube, save_cube, synth_cube
 from .encoder import DEFAULT_PROBE_ITERATIONS, TrainConfig, architecture_search, compress
 from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
@@ -175,11 +176,10 @@ def _cmd_decompress(args) -> int:
         blob = Path(args.input).read_bytes()
     except OSError as exc:
         raise BitstreamError(f"cannot read {args.input}: {exc}") from exc
-    cube = decompress(deserialize(blob))
-    save_cube(cube, args.out)
-    print(f"width={cube.width}")
-    print(f"height={cube.height}")
-    print(f"bands={cube.bands}")
+    header = decompress(deserialize(blob), args.out)
+    print(f"width={header.width}")
+    print(f"height={header.height}")
+    print(f"bands={header.bands}")
     print(f"out={args.out}")
     return 0
 

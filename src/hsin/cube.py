@@ -9,6 +9,7 @@ so save followed by load is bitwise lossless for them.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,16 +162,33 @@ def open_cube(data_path: str | Path) -> HyperCube:
     return load_cube(data_path, read_header(header_path(data_path)))
 
 
+@contextlib.contextmanager
+def create_cube(data_path: str | Path, header: CubeHeader):
+    """Open `data_path` for the block to write, then write its .hdr sidecar.
+
+    If the block or the sidecar fails, the data file and any sidecar at its
+    path are removed, so a failed write leaves no partial or stale cube.
+    """
+    fh = open(data_path, "wb")
+    try:
+        with fh:
+            yield fh
+        write_header(header, header_path(data_path))
+    except BaseException:
+        for path in (Path(data_path), header_path(data_path)):
+            path.unlink(missing_ok=True)
+        raise
+
+
 def save_cube(cube: HyperCube, data_path: str | Path) -> None:
     """Write raw little-endian float32 BSQ plus the .hdr sidecar next to it.
 
     Bands are converted to float32 one at a time, so saving makes no copy
     of the whole cube.
     """
-    with open(data_path, "wb") as fh:
+    with create_cube(data_path, CubeHeader(cube.width, cube.height, cube.bands)) as fh:
         for band in cube.band_matrix():
             fh.write(band.astype("<f4").tobytes())
-    write_header(CubeHeader(cube.width, cube.height, cube.bands), header_path(data_path))
 
 
 def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,14 @@ import pytest
 
 import hsin
 import hsin.cli as cli
+import hsin.codec
 import hsin.encoder
-from hsin import (HalfRangeError, TrainingDiverged, mse, open_cube, psnr, save_cube, ssim_mean,
-                  synth_cube)
-from hsin.codec import EncodedImage, serialize
+import hsin.nn
+from hsin import (HalfRangeError, SirenSpec, TrainingDiverged, decompress, mse, open_cube, psnr,
+                  save_cube, ssim_mean, synth_cube)
+from hsin.codec import EncodedImage, quantize, serialize
 from hsin.cube import ScaleInfo
+from hsin.siren import init_params
 
 
 def parse_report(captured: str) -> dict:
@@ -332,6 +336,106 @@ def test_decompress_out_of_memory_exits_2(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), proc.stderr
     assert proc.stdout == ""
     assert not out.exists() and not (tmp_path / "r.hdr").exists()
+
+
+def test_failed_write_leaves_no_output(tmp_path):
+    # a 64 KiB file size limit stops the 512 KiB cube that decompress or
+    # synth writes partway, over a small cube written before: one error
+    # line, and neither the data file nor a .hdr is left behind
+    resource = pytest.importorskip("resource")
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=32)
+    enc = EncodedImage(64, 64, 32, 1, 4, False, ScaleInfo(0.0, 1.0), init_params(spec, seed=0))
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(enc))
+    out = tmp_path / "r.raw"
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def cap_file_size():
+        _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        cap = 64 << 10 if hard == resource.RLIM_INFINITY else min(64 << 10, hard)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (cap, hard))
+
+    for argv in (["decompress", "--in", str(hsn), "--out", str(out)],
+                 ["synth", "--kind", "random", "--dims", "64x64x32", "--out", str(out)]):
+        save_cube(synth_cube("random", 2, 2, 1), out)
+        proc = subprocess.run([sys.executable, "-m", "hsin", *argv], env=env,
+                              preexec_fn=cap_file_size, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists() and not (tmp_path / "r.hdr").exists()
+
+
+@pytest.mark.parametrize("width, height, bands, half, buffer_bytes, buffers", [
+    (1, 1, 1, False, None, 1),
+    (60, 50, 3, False, None, 1),
+    (37, 11, 5, True, None, 1),
+    (80, 70, 4, False, 1, 5),
+    (80, 70, 4, True, 1, 5),
+], ids=["1x1x1", "remainder-joins-last-tile", "width-not-height", "buffer-per-tile",
+        "buffer-per-tile-half16"])
+def test_decompress_writes_what_save_cube_writes(tmp_path, capsys, monkeypatch, width, height,
+                                                 bands, half, buffer_bytes, buffers):
+    # the streamed decode writes the bytes of save_cube(decompress(enc)):
+    # 3000 pixels make two tiles, the second 1976 rows long; a write buffer
+    # shrunk to one tile sends 5600 pixels out in 5 buffers
+    spec = SirenSpec(n_hidden=2, hidden_width=8, out_dim=bands)
+    params = init_params(spec, seed=width + bands)
+    enc = EncodedImage(width, height, bands, 2, 8, half, ScaleInfo(-3.7, 1234.56),
+                       quantize(params) if half else params)
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(enc))
+    if buffer_bytes is not None:
+        monkeypatch.setattr(hsin.codec, "WRITE_BUFFER_BYTES", buffer_bytes)
+    writes = []
+    pwrite = os.pwrite
+
+    def counted_pwrite(fd, data, offset):
+        writes.append(offset)
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", counted_pwrite)
+    out = tmp_path / "r.raw"
+    assert cli.run(["decompress", "--in", str(hsn), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"width={width}\nheight={height}\nbands={bands}\nout={out}\n")
+    assert len(writes) == bands * buffers
+    monkeypatch.undo()
+    want = tmp_path / "w.raw"
+    save_cube(decompress(enc), want)
+    assert out.read_bytes() == want.read_bytes()
+    assert (tmp_path / "r.hdr").read_bytes() == (tmp_path / "w.hdr").read_bytes()
+
+
+@pytest.mark.parametrize("bands", [8, 256])
+def test_decompress_memory_is_bounded_by_the_write_buffer(tmp_path, capsys, monkeypatch, bands):
+    # with 64-row tiles and a 64 KiB write buffer (one tile at 256 bands),
+    # the decode holds the 64x64 grid's coordinates and a few buffers'
+    # worth, whatever the band count; the 256-band cube alone is 4 MiB
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", 64)
+    monkeypatch.setattr(hsin.codec, "WRITE_BUFFER_BYTES", 64 << 10)
+    spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=bands)
+    enc = EncodedImage(64, 64, bands, 2, 16, False, ScaleInfo(0.0, 1000.0),
+                       init_params(spec, seed=3))
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(enc))
+    out = tmp_path / "r.raw"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.run(["decompress", "--in", str(hsn), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    grid = 24 * 64 * 64
+    assert peak <= grid + 8 * (64 << 10)
+    assert out.stat().st_size == 4 * 64 * 64 * bands
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
