@@ -25,6 +25,7 @@ is made in this module.
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from collections.abc import Callable
@@ -182,45 +183,53 @@ def deserialize(blob: bytes) -> EncodedImage:
         raise BitstreamError(f"inconsistent stream: {exc}") from exc
 
 
-def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Evaluate the net on the full grid; (n_pixels, bands) float32 in [0, 1].
+def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
+             height: int) -> Callable[[slice], np.ndarray]:
+    """net(rows): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
 
-    The encoder scores snapshots through this call, with the arithmetic
-    tile_decoder applies before its raw-unit scaling, so reported quality
-    matches what a decoder will actually see. A float16 payload is widened
-    exactly to float32 here.
-
-    The grid is evaluated one hsin.nn.row_tiles tile at a time, and every
-    row is bitwise equal to one untiled evaluation of the whole grid.
+    The one normalized decode step, shared by the encoder's report and both
+    decoders; a float16 payload is widened exactly to float32. The grid's
+    coordinates (24 B per pixel while built, then 8) are made now, so a
+    scene too large for memory fails before a decoder opens its output.
     """
     coords = build_grid(width, height).astype(np.float32)
     params = np.asarray(params, dtype=np.float32)
-    out = np.empty((coords.shape[0], spec.out_dim), dtype=np.float32)
-    for rows in row_tiles(coords.shape[0]):
-        np.clip(mlp_forward(spec, params, coords[rows]), 0.0, 1.0, out=out[rows])
+
+    def net(rows: slice) -> np.ndarray:
+        out = mlp_forward(spec, params, coords[rows])
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return net
+
+
+def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Evaluate the net on the full grid; (n_pixels, bands) float32 in [0, 1].
+
+    The encoder scores snapshots through this call, with decompress's
+    tile_net, so reported quality matches what a decoder will actually see.
+    Every row is bitwise equal to one untiled evaluation of the whole grid.
+    """
+    net = tile_net(spec, params, width, height)
+    out = np.empty((width * height, spec.out_dim), dtype=np.float32)
+    for rows in row_tiles(out.shape[0]):
+        out[rows] = net(rows)
     return out
 
 
 def tile_decoder(enc: EncodedImage) -> Callable[[slice, np.ndarray], None]:
     """decode(rows, out): one hsin.nn.row_tiles tile of pixels in raw units.
 
-    `out` is a float64 (bands, len(rows)) array; it gets the net's output,
-    clipped to [0, 1] in float32, times (raw_max - raw_min) plus raw_min in
-    float64. decompress and decompress_to both decode through it. The
-    grid's coordinates (24 B per pixel while built, then 8) are made here,
-    before any tile, so a scene too large for memory fails before any write.
+    `out` is a float64 (bands, len(rows)) array; it gets tile_net's output
+    times (raw_max - raw_min) plus raw_min in float64. decompress and
+    decompress_to both decode through it.
     """
-    spec = enc.to_spec()
-    coords = build_grid(enc.width, enc.height).astype(np.float32)
-    params = np.asarray(enc.params, dtype=np.float32)
+    net = tile_net(enc.to_spec(), enc.params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
 
     def decode(rows: slice, out: np.ndarray) -> None:
-        norm = mlp_forward(spec, params, coords[rows])
-        np.clip(norm, 0.0, 1.0, out=norm)
         # dtype: against a python float numpy would multiply in float32 and
         # only widen the product (NEP 50)
-        np.multiply(norm.T, span, out=out, dtype=np.float64)
+        np.multiply(net(rows).T, span, out=out, dtype=np.float64)
         out += enc.scale.raw_min
 
     return decode
@@ -252,6 +261,9 @@ def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
     buf = np.empty((enc.bands, max(min(WRITE_BUFFER_BYTES // (4 * enc.bands), n), longest)),
                    dtype="<f4")
     with create_cube(data_path, header) as fh:
+        if not fh.seekable():
+            raise OSError(errno.ESPIPE, f"cannot write {data_path}: bands are written at their "
+                          "offsets, so the output must be a seekable file, not a pipe")
         first = filled = 0  # the buffer holds pixels first .. first + filled
         for rows in tiles:
             k = rows.stop - rows.start

@@ -168,6 +168,8 @@ def create_cube(data_path: str | Path, header: CubeHeader):
 
     If the block or the sidecar fails, the data file and any sidecar at its
     path are removed, so a failed write leaves no partial or stale cube.
+    Only regular files are removed (never a FIFO or device named as the
+    output), and a removal that fails leaves the original error to rise.
     """
     fh = open(data_path, "wb")
     try:
@@ -176,7 +178,9 @@ def create_cube(data_path: str | Path, header: CubeHeader):
         write_header(header, header_path(data_path))
     except BaseException:
         for path in (Path(data_path), header_path(data_path)):
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                if path.is_file():
+                    path.unlink()
         raise
 
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: dispatch, exit codes, and the end-to-end flow."""
 
+import errno
 import os
 import struct
 import subprocess
@@ -369,6 +370,48 @@ def test_failed_write_leaves_no_output(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert proc.stdout == ""
         assert not out.exists() and not (tmp_path / "r.hdr").exists()
+
+
+def test_decompress_to_a_pipe_is_refused_and_the_pipe_kept(tmp_path, capsys):
+    # positioned writes need a seekable file: a FIFO --out is refused with
+    # one error line, and the cleanup of the failed write leaves it in place
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(EncodedImage(4, 4, 2, 1, 4, False, ScaleInfo(0.0, 1.0),
+                                           init_params(spec, seed=0))))
+    fifo = tmp_path / "r.raw"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        assert cli.run(["decompress", "--in", str(hsn), "--out", str(fifo)]) == 2
+    finally:
+        os.close(reader)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seekable" in err and len(err.splitlines()) == 1
+    assert fifo.exists() and not (tmp_path / "r.hdr").exists()
+
+
+def test_failed_cleanup_reports_the_write_error(tmp_path, capsys, monkeypatch):
+    # when removing the partial output fails too, the write's own error is
+    # the one reported
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(EncodedImage(4, 4, 2, 1, 4, False, ScaleInfo(0.0, 1.0),
+                                           init_params(spec, seed=0))))
+
+    def full_disk(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def denied(self, missing_ok=False):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "pwrite", full_disk)
+    monkeypatch.setattr(Path, "unlink", denied)
+    assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / "r.raw")]) == 2
+    err = capsys.readouterr().err
+    assert os.strerror(errno.ENOSPC) in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("width, height, bands, half, buffer_bytes, buffers", [
