@@ -184,8 +184,8 @@ def deserialize(blob: bytes) -> EncodedImage:
 
 
 def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
-             height: int) -> Callable[[slice], np.ndarray]:
-    """net(rows): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
+             height: int) -> Callable[..., np.ndarray]:
+    """net(rows, out=None): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
 
     The one normalized decode step, shared by the encoder's report and both
     decoders; a float16 payload is widened exactly to float32. The grid's
@@ -195,9 +195,9 @@ def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
     coords = build_grid(width, height).astype(np.float32)
     params = np.asarray(params, dtype=np.float32)
 
-    def net(rows: slice) -> np.ndarray:
-        out = mlp_forward(spec, params, coords[rows])
-        return np.clip(out, 0.0, 1.0, out=out)
+    def net(rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        y = mlp_forward(spec, params, coords[rows])
+        return np.clip(y, 0.0, 1.0, out=y if out is None else out)
 
     return net
 
@@ -212,7 +212,7 @@ def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, heig
     net = tile_net(spec, params, width, height)
     out = np.empty((width * height, spec.out_dim), dtype=np.float32)
     for rows in row_tiles(out.shape[0]):
-        out[rows] = net(rows)
+        net(rows, out[rows])
     return out
 
 
