@@ -23,7 +23,8 @@ from .codec import (
 )
 # the CLI decodes straight to disk, under the name the bench traces
 from .codec import decompress_to as decompress
-from .cube import CubeFormatError, header_path, normalize, open_cube, save_cube, synth_cube
+from .cube import (CubeFormatError, header_path, normalize, open_cube, removed_on_failure,
+                   save_cube, synth_cube)
 from .encoder import DEFAULT_PROBE_ITERATIONS, TrainConfig, architecture_search, compress
 from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
 from .sampling import SampleConfig
@@ -155,11 +156,16 @@ def _cmd_compress(args) -> int:
         spec_or_budget = args.budget_bpppb
     enc, report = compress(cube, spec_or_budget, cfg)
     blob = serialize(enc)
-    Path(args.out).write_bytes(blob)
-    if args.history is not None:
-        with open(args.history, "w", newline="") as fh:
-            csv.writer(fh).writerows(
-                [("epoch", "psnr")] + [(e, repr(float(s))) for e, s in report.history])
+    # a failed write removes what this run wrote: no partial or lone output
+    fh = open(args.out, "wb")
+    with removed_on_failure(args.out):
+        with fh:
+            fh.write(blob)
+        if args.history is not None:
+            fh = open(args.history, "w", newline="")
+            with removed_on_failure(args.history), fh:
+                csv.writer(fh).writerows(
+                    [("epoch", "psnr")] + [(e, repr(float(s))) for e, s in report.history])
     print(report.to_text())
     print(f"n_hidden={enc.n_hidden}")
     print(f"hidden_width={enc.hidden_width}")

@@ -163,25 +163,36 @@ def open_cube(data_path: str | Path) -> HyperCube:
 
 
 @contextlib.contextmanager
-def create_cube(data_path: str | Path, header: CubeHeader):
-    """Open `data_path` for the block to write, then write its .hdr sidecar.
+def removed_on_failure(*paths: str | Path):
+    """If the block fails, remove each of `paths` that is a regular file.
 
-    If the block or the sidecar fails, the data file and any sidecar at its
-    path are removed, so a failed write leaves no partial or stale cube.
-    Only regular files are removed (never a FIFO or device named as the
-    output), and a removal that fails leaves the original error to rise.
+    Never a FIFO or device named as an output, and a removal that fails
+    leaves the block's own error to rise. Open a file before entering, so
+    a file that cannot be opened is never removed.
     """
-    fh = open(data_path, "wb")
     try:
-        with fh:
-            yield fh
-        write_header(header, header_path(data_path))
+        yield
     except BaseException:
-        for path in (Path(data_path), header_path(data_path)):
+        for path in map(Path, paths):
             with contextlib.suppress(OSError):
                 if path.is_file():
                     path.unlink()
         raise
+
+
+@contextlib.contextmanager
+def create_cube(data_path: str | Path, header: CubeHeader):
+    """Open `data_path` for the block to write, then write its .hdr sidecar.
+
+    If the block or the sidecar fails, the data file and any sidecar at its
+    path are removed (removed_on_failure), so a failed write leaves no
+    partial or stale cube.
+    """
+    fh = open(data_path, "wb")
+    with removed_on_failure(data_path, header_path(data_path)):
+        with fh:
+            yield fh
+        write_header(header, header_path(data_path))
 
 
 def save_cube(cube: HyperCube, data_path: str | Path) -> None:

@@ -1,9 +1,10 @@
 """Forward evaluation and exact analytic gradients for the sine MLP.
 
 The backward pass is hand-derived: for y = x @ W.T + b,
-dL/dW = dy.T @ x, dL/db = dy.sum(0), dL/dx = dy @ W, and the sine
-activation contributes an elementwise w0 * cos(w0 * z) factor. Gradients
-come back as one flat vector in the same canonical order as the parameters.
+dL/dW = dy.T @ x, dL/db = ones @ dy (the column sums of dy as one GEMV),
+dL/dx = dy @ W, and the sine activation contributes an elementwise
+w0 * cos(w0 * z) factor. Gradients come back as one flat vector in the
+same canonical order as the parameters.
 """
 
 from __future__ import annotations
@@ -98,17 +99,18 @@ def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
     keep: list = []
     dy = _forward(layers, inputs, keep)
     dy -= targets
-    loss = float(np.mean(dy * dy))
+    loss = float(np.vdot(dy, dy)) / dy.size
     dy *= scale  # d(loss)/d(pred)
+    ones = np.ones(len(dy), dtype=dy.dtype)
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
         x = inputs if i == 0 else keep[i - 1][1]
         if accumulate:
             gw += dy.T @ x
-            gb += dy.sum(axis=0)
+            gb += ones @ dy
         else:
             np.matmul(dy.T, x, out=gw)
-            np.sum(dy, axis=0, out=gb)
+            np.matmul(ones, dy, out=gb)
         if i > 0:
             s = keep[i - 1][0]
             c = np.cos(s, out=s)  # w0 * z is no longer needed

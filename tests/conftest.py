@@ -180,13 +180,14 @@ def reference_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch) -> tuple
     pred = a @ weights.T + biases
 
     diff = pred - targets
-    loss = float(np.mean(diff * diff))
+    loss = float(np.vdot(diff, diff)) / diff.size
     dy = diff * (2.0 / diff.size)
 
+    ones = np.ones(len(dy), dtype=dy.dtype)
     grads = [np.empty(0)] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         gw = dy.T @ cache[i][0]
-        gb = dy.sum(axis=0)
+        gb = ones @ dy
         grads[i] = np.concatenate([gw.ravel(), gb])
         if i > 0:
             dx = dy @ layers[i][0]

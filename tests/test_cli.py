@@ -339,37 +339,80 @@ def test_decompress_out_of_memory_exits_2(tmp_path):
     assert not out.exists() and not (tmp_path / "r.hdr").exists()
 
 
-def test_failed_write_leaves_no_output(tmp_path):
-    # a 64 KiB file size limit stops the 512 KiB cube that decompress or
-    # synth writes partway, over a small cube written before: one error
-    # line, and neither the data file nor a .hdr is left behind
+def _run_under_file_size_cap(argv: list[str], cap: int) -> subprocess.CompletedProcess:
+    """`python -m hsin *argv` from this checkout, with RLIMIT_FSIZE at `cap` bytes."""
     resource = pytest.importorskip("resource")
-    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=32)
-    enc = EncodedImage(64, 64, 32, 1, 4, False, ScaleInfo(0.0, 1.0), init_params(spec, seed=0))
-    hsn = tmp_path / "c.hsin"
-    hsn.write_bytes(serialize(enc))
-    out = tmp_path / "r.raw"
     src = str(Path(hsin.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
     def cap_file_size():
         _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-        cap = 64 << 10 if hard == resource.RLIM_INFINITY else min(64 << 10, hard)
-        resource.setrlimit(resource.RLIMIT_FSIZE, (cap, hard))
+        limit = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
 
+    return subprocess.run([sys.executable, "-m", "hsin", *argv], env=env,
+                          preexec_fn=cap_file_size, capture_output=True, text=True, timeout=120)
+
+
+def test_failed_write_leaves_no_output(tmp_path):
+    # a 64 KiB file size limit stops the 512 KiB cube that decompress or
+    # synth writes partway, over a small cube written before: one error
+    # line, and neither the data file nor a .hdr is left behind
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=32)
+    enc = EncodedImage(64, 64, 32, 1, 4, False, ScaleInfo(0.0, 1.0), init_params(spec, seed=0))
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(enc))
+    out = tmp_path / "r.raw"
     for argv in (["decompress", "--in", str(hsn), "--out", str(out)],
                  ["synth", "--kind", "random", "--dims", "64x64x32", "--out", str(out)]):
         save_cube(synth_cube("random", 2, 2, 1), out)
-        proc = subprocess.run([sys.executable, "-m", "hsin", *argv], env=env,
-                              preexec_fn=cap_file_size, capture_output=True, text=True,
-                              timeout=120)
+        proc = _run_under_file_size_cap(argv, 64 << 10)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert proc.stdout == ""
         assert not out.exists() and not (tmp_path / "r.hdr").exists()
+
+
+def test_failed_compress_write_leaves_no_output(tmp_path):
+    # the 469 KB .hsin of a (2,255) net over 200 bands stops partway under a
+    # 100 000-byte file size limit: one error line, and no --out is left,
+    # neither the partial file nor the earlier one it truncated
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 16, 16, 200), raw)
+    out = tmp_path / "x.hsin"
+    out.write_bytes(b"an earlier .hsin")
+    proc = _run_under_file_size_cap(
+        ["compress", "--input", str(raw), "--layers", "2", "--width", "255", "--iters", "1",
+         "--out", str(out)], 100_000)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_failed_history_write_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # the .hsin is written first; a --history-csv that then fails takes both
+    # files with it, so a failed compress leaves neither
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("random", 4, 4, 2, seed=3), raw)
+
+    def full_disk(fh):
+        fh.write("epoch")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.csv, "writer", full_disk)
+    out, history = tmp_path / "x.hsin", tmp_path / "h.csv"
+    assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+                    "--iters", "2", "--history-csv", str(history), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "No space left" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not history.exists()
 
 
 def test_decompress_to_a_pipe_is_refused_and_the_pipe_kept(tmp_path, capsys):
@@ -605,6 +648,45 @@ def test_output_bytes_independent_of_thread_count(tmp_path):
         )
         outs.append(out.read_bytes())
     assert len(outs[0]) == 25 + 4 * 7992
+    assert outs[0] == outs[1]
+
+
+# One float32 training step on the first batch that window-3, rate-0.25
+# sampling draws from a 64x64 grid (925 rows), in a fresh process; prints
+# the loss and a digest of every bias gradient. hsin is imported before
+# numpy, so HSIN_THREADS sets the BLAS thread count.
+_SAMPLED_STEP = """
+import hashlib
+from hsin import SampleConfig, SirenSpec, normalize, synth_cube
+import numpy as np
+from hsin.nn import Batch, mlp_loss_and_grad
+from hsin.sampling import build_grid, sample_indices
+from hsin.siren import init_params, unflatten
+cube, _ = normalize(synth_cube("band-sinusoid", 64, 64, 32))
+idx = sample_indices(64, 64, SampleConfig(window=3, rate=0.25), 0, 1)
+batch = Batch(build_grid(64, 64).astype(np.float32)[idx],
+              cube.band_matrix().T.astype(np.float32)[idx])
+spec = SirenSpec(n_hidden=5, hidden_width=40, out_dim=32)
+loss, grads = mlp_loss_and_grad(spec, init_params(spec, seed=0), batch)
+biases = b"".join(gb.tobytes() for _, gb in unflatten(spec, grads))
+print(len(idx), repr(loss), hashlib.sha256(biases).hexdigest())
+"""
+
+
+def test_sampled_step_loss_and_bias_gradients_independent_of_thread_count():
+    # the vdot loss and the GEMV bias gradients of a sampled batch are the
+    # same at one and two BLAS threads. The weight gradients dy.T @ x are
+    # not (at 925 rows OpenBLAS's two-thread GEMM rounds them differently),
+    # so a sampled compress writes other bytes at two threads
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    outs = [subprocess.run([sys.executable, "-c", _SAMPLED_STEP],
+                           env={**env, "HSIN_THREADS": threads}, check=True,
+                           capture_output=True, text=True).stdout
+            for threads in ("1", "2")]
+    assert outs[0].startswith("925 ")
     assert outs[0] == outs[1]
 
 

@@ -137,6 +137,21 @@ def test_tiled_step_matches_untiled_reference(monkeypatch, dtype, tol):
         assert np.max(np.abs(grad - want_grad)) <= tol * np.max(np.abs(want_grad))
 
 
+@pytest.mark.parametrize("tile_rows", [TILE_ROWS, 7])
+def test_step_loss_matches_scalar_oracle(monkeypatch, tile_rows):
+    # the loss the step returns against the scalar loop, not against the
+    # step's mirror; with 7-row tiles the 14- to 29-row batches are 2-4 tiles
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", tile_rows)
+    rng = np.random.default_rng(17)
+    for rows in (1, 6, 13, 14, 15, 29):
+        spec, params, _ = random_net(rng)
+        batch = Batch(rng.uniform(-1.0, 1.0, (rows, spec.in_dim)),
+                      rng.uniform(0.0, 1.0, (rows, spec.out_dim)))
+        loss, _ = mlp_loss_and_grad(spec, params, batch)
+        want = scalar_loss(spec, params, batch.inputs, batch.targets)
+        assert abs(loss - want) <= 1e-12 * want
+
+
 def test_tiled_gradient_matches_finite_differences(monkeypatch):
     monkeypatch.setattr(hsin.nn, "TILE_ROWS", 7)
     rng = np.random.default_rng(16)
