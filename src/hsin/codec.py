@@ -189,10 +189,10 @@ def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
 
     The one normalized decode step, shared by the encoder's report and both
     decoders; a float16 payload is widened exactly to float32. The grid's
-    coordinates (24 B per pixel while built, then 8) are made now, so a
-    scene too large for memory fails before a decoder opens its output.
+    float32 coordinates (8 B per pixel) are made now, so a scene too large
+    for memory fails before a decoder opens its output.
     """
-    coords = build_grid(width, height).astype(np.float32)
+    coords = build_grid(width, height)
     params = np.asarray(params, dtype=np.float32)
 
     def net(rows: slice, out: np.ndarray | None = None) -> np.ndarray:

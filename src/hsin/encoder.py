@@ -18,7 +18,7 @@ import numpy as np
 from .adam import TrainingDiverged, adam_step, fresh_state
 from .codec import EncodedImage, check_format, payload_bits, quantize, reconstruct_normalized
 from .cube import HyperCube, normalize
-from .metrics import QualityReport, bpppb, mse, psnr, psnr_from_mse, ssim_mean
+from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
 from .nn import Batch, mlp_loss_and_grad
 from .sampling import SampleConfig, build_grid, gather_batch, sample_indices
 from .siren import SirenSpec, init_params, param_count
@@ -52,9 +52,10 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class BestSnapshot:
-    """Best parameters seen during a run, by full-grid PSNR."""
+    """A run's best eval by full-grid PSNR: the payload it scored (float16 if half) and its MSE."""
 
     params: np.ndarray
+    mse: float
     psnr: float
     epoch: int
     history: list[tuple[int, float]] = field(default_factory=list)
@@ -63,11 +64,11 @@ class BestSnapshot:
 def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     """Train one network on one normalized cube, keeping the best snapshot.
 
-    Every eval_every epochs (and at the final epoch) full-grid PSNR is
-    measured; with cfg.half the candidate weights are first quantized to
+    Every eval_every epochs (and at the final epoch) full-grid MSE and PSNR
+    are measured; with cfg.half the candidate weights are first quantized to
     float16, so the score equals post-decode quality.
-    The returned snapshot is the argmax over those evaluations, never simply
-    the last epoch.
+    The returned snapshot is the argmax over those evaluations (the first
+    of equal scores), never simply the last epoch.
     """
     if cube.bands != spec.out_dim:
         raise ValueError(f"cube has {cube.bands} bands but spec.out_dim = {spec.out_dim}")
@@ -76,15 +77,13 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         raise ValueError("overfit expects a normalized cube with values in [0, 1]")
 
     # pixel-major float32: the full batch, and the rows a sampled batch takes
-    grid = Batch(build_grid(cube.width, cube.height).astype(np.float32),
+    grid = Batch(build_grid(cube.width, cube.height),
                  cube.band_matrix().T.astype(np.float32, order="C"))
 
     params = init_params(spec, cfg.seed)
     state = fresh_state(params)
 
-    best_params = None
-    best_psnr = -math.inf
-    best_epoch = 0
+    best = None
     history: list[tuple[int, float]] = []
 
     for epoch in range(1, cfg.iterations + 1):
@@ -99,16 +98,15 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         params, state = adam_step(state, params, grads)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.iterations:
-            eval_params = quantize(params) if cfg.half else params
-            score = psnr(reconstruct_normalized(spec, eval_params, cube.width, cube.height).T,
-                         cube.band_matrix())
+            # kept uncopied: adam_step returns new arrays and never writes this one
+            payload = quantize(params) if cfg.half else params
+            m = mse(reconstruct_normalized(spec, payload, cube.width, cube.height).T,
+                    cube.band_matrix())
+            score = psnr_from_mse(m)
             history.append((epoch, score))
-            if score > best_psnr:
-                best_psnr = score
-                best_epoch = epoch
-                best_params = params.copy()
-
-    return BestSnapshot(params=best_params, psnr=best_psnr, epoch=best_epoch, history=history)
+            if score > (best.psnr if best else -math.inf):
+                best = BestSnapshot(payload, m, score, epoch, history)
+    return best
 
 
 def architecture_search(cube: HyperCube, budget_bpppb: float,
@@ -158,10 +156,10 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
     spec_or_budget is either an explicit SirenSpec or a bpppb budget that
     triggers architecture search over DEFAULT_CANDIDATES, each probed for
     DEFAULT_PROBE_ITERATIONS. A scene or net the file format cannot store is
-    rejected before any training. The report's distortion numbers are
-    computed through the decode-side reconstruction of the exact payload
-    parameters, so they equal what decompress will deliver; report.history
-    holds the run's (epoch, psnr) evaluations.
+    rejected before any training. The best snapshot is the payload, and its
+    eval, scored through the decode-side reconstruction, gives the report's
+    MSE and PSNR; only SSIM is scored afresh. report.history holds the run's
+    (epoch, psnr) evaluations.
     """
     t0 = time.perf_counter()
     normalized, scale = normalize(cube)
@@ -173,22 +171,20 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
         spec = architecture_search(normalized, float(spec_or_budget), seed=cfg.seed, half=cfg.half)
 
     snap = overfit(normalized, spec, cfg)
-    payload = quantize(snap.params) if cfg.half else snap.params
     enc = EncodedImage(
         width=cube.width, height=cube.height, bands=cube.bands,
         n_hidden=spec.n_hidden, hidden_width=spec.hidden_width,
-        quantized=cfg.half, scale=scale, params=payload,
+        quantized=cfg.half, scale=scale, params=snap.params,
     )
     compress_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    recon = reconstruct_normalized(spec, payload, cube.width, cube.height)
+    recon = reconstruct_normalized(spec, snap.params, cube.width, cube.height)
     decompress_seconds = time.perf_counter() - t1
 
-    m = mse(recon.T, normalized.band_matrix())
     report = QualityReport(
-        mse=m,
-        psnr=psnr_from_mse(m),
+        mse=snap.mse,
+        psnr=snap.psnr,
         ssim_mean=ssim_mean(normalized.band_matrix(), recon.T),
         bpppb=bpppb(param_count(spec), payload_bits(cfg.half),
                     cube.width, cube.height, cube.bands),

@@ -1,10 +1,10 @@
 """Rate and distortion metrics: MSE, PSNR, band-averaged global SSIM, bpppb.
 
-The cube metrics take two (bands, n_pixels) arrays of one shape, such as
-cube.band_matrix(), and accumulate in float64. SSIM here uses one set of
-global statistics per band (means, variances, covariance over the whole
-band) rather than a sliding window; the per-band scores are averaged over
-the spectral axis.
+The cube metrics take two non-empty (bands, n_pixels) arrays of one shape,
+such as cube.band_matrix(), and accumulate in float64. SSIM here uses one
+set of global statistics per band (means, variances, covariance over the
+whole band) rather than a sliding window; the per-band scores are averaged
+over the spectral axis.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .nn import row_tiles
 
 def _band_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.asarray(a), np.asarray(b)
-    if x.ndim != 2 or x.shape != y.shape:
-        raise ValueError(f"expected two (bands, n_pixels) arrays of one shape, "
+    if x.ndim != 2 or x.shape != y.shape or x.size == 0:
+        raise ValueError(f"expected two non-empty (bands, n_pixels) arrays of one shape, "
                          f"got {x.shape} and {y.shape}")
     return x, y
 

@@ -33,19 +33,19 @@ class SampleConfig:
 
 
 def _axis_coords(n: int) -> np.ndarray:
-    # -1 + 2*j/(n-1); a single sample sits at 0
+    # -1 + 2*j/(n-1) in float64, rounded once to float32; a single sample sits at 0
     if n == 1:
-        return np.zeros(1)
-    return np.arange(n, dtype=np.float64) * (2.0 / (n - 1)) - 1.0
+        return np.zeros(1, dtype=np.float32)
+    return (np.arange(n, dtype=np.float64) * (2.0 / (n - 1)) - 1.0).astype(np.float32)
 
 
 def build_grid(width: int, height: int) -> np.ndarray:
-    """(width*height, 2) float64 row-major (x, y) pairs, endpoints exactly +-1."""
+    """(width*height, 2) float32 row-major (x, y) pairs the net reads, endpoints exactly +-1."""
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
     xs = _axis_coords(width)
     ys = _axis_coords(height)
-    coords = np.empty((height * width, 2), dtype=np.float64)
+    coords = np.empty((height * width, 2), dtype=np.float32)
     coords[:, 0] = np.tile(xs, height)
     coords[:, 1] = np.repeat(ys, width)
     return coords

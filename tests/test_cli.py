@@ -305,7 +305,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 def test_decompress_out_of_memory_exits_2(tmp_path):
     # a 45-byte file whose header claims a 65535x65535x1 scene: its grid
-    # alone is 64 GiB. The child's address space is capped, so the request
+    # alone is 32 GiB. The child's address space is capped, so the request
     # fails there; uncapped, an overcommitting host would grant it and the
     # decoder would then fill it
     resource = pytest.importorskip("resource")
@@ -688,6 +688,27 @@ def test_sampled_step_loss_and_bias_gradients_independent_of_thread_count():
             for threads in ("1", "2")]
     assert outs[0].startswith("925 ")
     assert outs[0] == outs[1]
+
+
+def test_hsin_threads_after_numpy_warns():
+    # the BLAS reads its thread variables when numpy loads: HSIN_THREADS
+    # seeds them only if hsin comes first, and says so when it came too late
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["HSIN_THREADS"] = "1"
+
+    def stderr(code, **extra):
+        return subprocess.run([sys.executable, "-c", code], env={**env, **extra}, check=True,
+                              capture_output=True, text=True).stderr
+
+    late = stderr("import numpy, hsin")
+    assert "RuntimeWarning: HSIN_THREADS=1 does not pin BLAS threads" in late
+    assert all(var in late for var in blas)
+    assert "OMP_NUM_THREADS" not in stderr("import numpy, hsin", OMP_NUM_THREADS="1")
+    assert stderr("import hsin, numpy") == ""
+    assert stderr("import numpy, hsin", **dict.fromkeys(blas, "1")) == ""
 
 
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):

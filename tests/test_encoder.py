@@ -22,6 +22,7 @@ from hsin import (
     synth_cube,
 )
 from hsin.encoder import overfit
+from hsin.metrics import psnr_from_mse
 from hsin.siren import param_count
 from conftest import make_cube
 
@@ -215,6 +216,21 @@ def test_compress_report_is_honest_half16():
     lo, hi = cube.value_range
     assert abs(psnr(cube.band_matrix(), recon.band_matrix(), peak=hi - lo) - report.psnr) < 1e-9
     assert report.bpppb == bpppb(param_count(spec), 16, 16, 16, 4)
+
+
+def test_compress_writes_the_best_snapshot_and_its_scores():
+    # the snapshot is the stored payload (float16 under half), and the report
+    # takes the winning eval's MSE and PSNR rather than scoring it again
+    cube = synth_cube("band-sinusoid", 16, 16, 4)
+    spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=4)
+    cfg = TrainConfig(iterations=300, eval_every=100, half=True,
+                      sample=SampleConfig(window=3, rate=0.5))
+    snap = overfit(normalize(cube)[0], spec, cfg)
+    assert snap.params.dtype == np.float16
+    assert snap.psnr == psnr_from_mse(snap.mse) == max(s for _, s in snap.history)
+    enc, report = compress(cube, spec, cfg)
+    assert enc.params.tobytes() == snap.params.tobytes()
+    assert (report.mse, report.psnr) == (snap.mse, snap.psnr)
 
 
 def test_half16_halves_payload_exactly():

@@ -1,6 +1,7 @@
 """Distortion and rate metric identities and worked values."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,9 @@ def test_metrics_take_band_matrices_only(metric, same):
         metric(cube.data, cube.data)
     with pytest.raises(ValueError):
         metric(cube.band_matrix(), cube.band_matrix().T)
+    for shape in ((3, 0), (0, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape} and {shape}")):
+            metric(np.zeros(shape), np.zeros(shape))
 
 
 @settings(max_examples=40, deadline=None)

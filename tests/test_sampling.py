@@ -1,5 +1,7 @@
 """Coordinate grid layout and windowed sampling behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,27 @@ def test_grid_spacing_uniform():
     g = build_grid(9, 4)
     xs = g[:9, 0]
     assert np.allclose(np.diff(xs), 2.0 / 8)
+
+
+def test_grid_is_float32_rounded_once_from_float64():
+    g = build_grid(7, 3)
+    assert g.dtype == np.float32
+    assert np.array_equal(g[:7, 0], (np.arange(7) * (2.0 / 6) - 1.0).astype(np.float32))
+    assert np.array_equal(g[::7, 1], np.array([-1.0, 0.0, 1.0], dtype=np.float32))
+
+
+def test_grid_build_peak_is_12_bytes_per_pixel():
+    # the (n, 2) float32 grid plus one float32 column while it is filled
+    width, height = 300, 200
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_grid(width, height)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.nbytes == 8 * width * height
+    assert peak <= 12 * width * height + 4096
 
 
 # ----------------------------------------------------------------- sampling
