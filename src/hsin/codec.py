@@ -219,9 +219,9 @@ def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, heig
 def tile_decoder(enc: EncodedImage) -> Callable[[slice, np.ndarray], None]:
     """decode(rows, out): one hsin.nn.row_tiles tile of pixels in raw units.
 
-    `out` is a float64 (bands, len(rows)) array; it gets tile_net's output
-    times (raw_max - raw_min) plus raw_min in float64. decompress and
-    decompress_to both decode through it.
+    `out` is a float32 (bands, len(rows)) array; it gets tile_net's output
+    times (raw_max - raw_min) plus raw_min, computed in a float64 tile and
+    rounded once. decompress and decompress_to both decode through it.
     """
     net = tile_net(enc.to_spec(), enc.params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
@@ -229,16 +229,17 @@ def tile_decoder(enc: EncodedImage) -> Callable[[slice, np.ndarray], None]:
     def decode(rows: slice, out: np.ndarray) -> None:
         # dtype: against a python float numpy would multiply in float32 and
         # only widen the product (NEP 50)
-        np.multiply(net(rows).T, span, out=out, dtype=np.float64)
-        out += enc.scale.raw_min
+        tile = np.multiply(net(rows).T, span, dtype=np.float64)
+        tile += enc.scale.raw_min
+        out[...] = tile
 
     return decode
 
 
 def decompress(enc: EncodedImage) -> HyperCube:
-    """Decode to a cube in raw units, each tile straight into its float64 array."""
+    """Decode to a float32 cube in raw units: the samples decompress_to writes."""
     decode = tile_decoder(enc)
-    raw = np.empty((enc.bands, enc.width * enc.height), dtype=np.float64)
+    raw = np.empty((enc.bands, enc.width * enc.height), dtype=np.float32)
     for rows in row_tiles(raw.shape[1]):
         decode(rows, raw[:, rows])
     return HyperCube(enc.width, enc.height, enc.bands, raw)
@@ -247,9 +248,9 @@ def decompress(enc: EncodedImage) -> HyperCube:
 def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
     """Write save_cube(decompress(enc), data_path)'s bytes without holding the cube.
 
-    Decoded tiles are rounded to float32 into one band-major buffer of at
-    most WRITE_BUFFER_BYTES (always at least one tile); a full buffer goes
-    out as one positioned write per band, at the band's offset in the file.
+    Tiles are decoded into one band-major buffer of at most
+    WRITE_BUFFER_BYTES (always at least one tile); a full buffer goes out as
+    one positioned write per band, at the band's offset in the file.
     Returns the CubeHeader written to the .hdr sidecar.
     """
     header = CubeHeader(enc.width, enc.height, enc.bands)
@@ -257,7 +258,6 @@ def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
     n = enc.width * enc.height
     tiles = row_tiles(n)
     longest = max(rows.stop - rows.start for rows in tiles)
-    tile = np.empty((enc.bands, longest), dtype=np.float64)
     buf = np.empty((enc.bands, max(min(WRITE_BUFFER_BYTES // (4 * enc.bands), n), longest)),
                    dtype="<f4")
     with create_cube(data_path, header) as fh:
@@ -270,8 +270,7 @@ def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
             if filled + k > buf.shape[1]:
                 _write_bands(fh.fileno(), buf[:, :filled], n, first)
                 first, filled = rows.start, 0
-            decode(rows, tile[:, :k])
-            buf[:, filled:filled + k] = tile[:, :k]
+            decode(rows, buf[:, filled:filled + k])
             filled += k
         _write_bands(fh.fileno(), buf[:, :filled], n, first)
     return header

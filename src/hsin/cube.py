@@ -1,15 +1,16 @@
 """Hyperspectral cube I/O and scaling.
 
 Cubes live on disk as raw band-sequential (BSQ) little-endian float32 with a
-plain-text sidecar header. In memory the samples are held as float64 so that
-normalization and the quality metrics are exact to well below any tolerance
-we care about; values coming from disk are float32-representable,
-so save followed by load is bitwise lossless for them.
+plain-text sidecar header, and are held in memory as the same float32
+samples, so save followed by load is bitwise lossless. Normalization runs
+in float64 and rounds its result once to float32.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +56,7 @@ class ScaleInfo:
 
 @dataclass(eq=False)
 class HyperCube:
-    """A width x height x bands cube stored as a flat BSQ float64 array."""
+    """A width x height x bands cube: a flat BSQ float32 array, other dtypes rounded once."""
 
     width: int
     height: int
@@ -65,7 +66,7 @@ class HyperCube:
     def __post_init__(self) -> None:
         if min(self.width, self.height, self.bands) < 1:
             raise ValueError("cube dimensions must be >= 1")
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64).ravel()
+        self.data = np.ascontiguousarray(self.data, dtype=np.float32).ravel()
         expected = self.width * self.height * self.bands
         if self.data.size != expected:
             raise ValueError(f"expected {expected} samples, got {self.data.size}")
@@ -127,29 +128,41 @@ def write_header(header: CubeHeader, path: str | Path) -> None:
 
 
 def load_cube(data_path: str | Path, header: CubeHeader) -> HyperCube:
-    """Read a raw BSQ float32 file described by `header`."""
+    """Read a raw BSQ float32 file described by `header`.
+
+    The file's size is checked before any sample is read, and the samples
+    are read straight into the cube's own (writable) array.
+    """
     data_path = Path(data_path)
+    expected = header.width * header.height * header.bands * 4
     try:
-        raw = data_path.read_bytes()
+        with open(data_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size == expected:
+                data = np.empty(expected // 4, dtype="<f4")
+                size = fh.readinto(data)
     except OSError as exc:
         raise CubeFormatError(f"cannot read {data_path}: {exc}") from exc
-    expected = header.width * header.height * header.bands * 4
-    if len(raw) != expected:
+    if size != expected:
         raise CubeFormatError(
             f"{data_path}: expected {expected} bytes for "
-            f"{header.width}x{header.height}x{header.bands} float32, got {len(raw)}"
+            f"{header.width}x{header.height}x{header.bands} float32, got {size}"
         )
-    data = np.frombuffer(raw, dtype="<f4")
-    bad = ~np.isfinite(data)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        band, pixel = divmod(i, header.width * header.height)
-        row, col = divmod(pixel, header.width)
-        raise CubeFormatError(
-            f"{data_path}: sample {i} (band {band}, row {row}, col {col}) is {float(data[i])}; "
-            "cube samples must be finite"
-        )
-    return HyperCube(header.width, header.height, header.bands, data)
+    cube = HyperCube(header.width, header.height, header.bands, data)
+    _check_finite(cube, data_path, CubeFormatError)
+    return cube
+
+
+def _check_finite(cube: HyperCube, data_path: str | Path, error: type[Exception]) -> None:
+    # a float64 sum of float32 samples cannot overflow, so it is finite
+    # exactly when every sample is, and it needs no cube-sized array of flags
+    if math.isfinite(cube.data.sum(dtype=np.float64)):
+        return
+    i = int(np.flatnonzero(~np.isfinite(cube.data))[0])
+    band, pixel = divmod(i, cube.n_pixels)
+    row, col = divmod(pixel, cube.width)
+    raise error(f"{data_path}: sample {i} (band {band}, row {row}, col {col}) is "
+                f"{float(cube.data[i])}; cube samples must be finite")
 
 
 def header_path(data_path: str | Path) -> Path:
@@ -198,23 +211,26 @@ def create_cube(data_path: str | Path, header: CubeHeader):
 def save_cube(cube: HyperCube, data_path: str | Path) -> None:
     """Write raw little-endian float32 BSQ plus the .hdr sidecar next to it.
 
-    Bands are converted to float32 one at a time, so saving makes no copy
-    of the whole cube.
+    The cube's samples are written as they are held. A non-finite sample
+    raises ValueError before any file is created, as open_cube would reject
+    the file.
     """
+    _check_finite(cube, data_path, ValueError)
     with create_cube(data_path, CubeHeader(cube.width, cube.height, cube.bands)) as fh:
-        for band in cube.band_matrix():
-            fh.write(band.astype("<f4").tobytes())
+        fh.write(cube.data.astype("<f4", copy=False))
 
 
 def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:
-    """Min-max scale all samples into [0, 1].
+    """Min-max scale all samples into [0, 1], in float64, rounded once to float32.
 
     A constant cube maps to all zeros. The returned ScaleInfo restores raw
     units: v * (raw_max - raw_min) + raw_min, as codec.decompress applies it.
     """
     lo, hi = cube.value_range
     if hi > lo:
-        scaled = (cube.data - lo) / (hi - lo)
+        # dtype: against a python float numpy would subtract in float32 (NEP 50)
+        scaled = np.subtract(cube.data, lo, dtype=np.float64)
+        scaled /= hi - lo
     else:
         scaled = np.zeros_like(cube.data)
     return HyperCube(cube.width, cube.height, cube.bands, scaled), ScaleInfo(lo, hi)
@@ -235,8 +251,7 @@ def synth_cube(kind: str, width: int, height: int, bands: int, seed: int = 0) ->
     random:          uniform noise in [0, 1).
 
     x and y are the unit-normalized pixel coordinates and band_frac is
-    band_index / bands. Values are rounded through float32 so the cube
-    survives a save/load round trip bitwise.
+    band_index / bands.
     """
     if kind not in _SYNTH_KINDS:
         raise ValueError(f"unknown synth kind {kind!r}; expected one of {_SYNTH_KINDS}")
@@ -253,4 +268,4 @@ def synth_cube(kind: str, width: int, height: int, bands: int, seed: int = 0) ->
             vals = np.clip(phase / 3.0, 0.0, 1.0)
         else:
             vals = 0.5 + 0.5 * np.sin(2.0 * np.pi * phase)
-    return HyperCube(width, height, bands, vals.astype(np.float32))
+    return HyperCube(width, height, bands, vals)

@@ -76,9 +76,8 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     if lo < 0.0 or hi > 1.0:
         raise ValueError("overfit expects a normalized cube with values in [0, 1]")
 
-    # pixel-major float32: the full batch, and the rows a sampled batch takes
-    grid = Batch(build_grid(cube.width, cube.height),
-                 cube.band_matrix().T.astype(np.float32, order="C"))
+    # pixel-major: the full batch, and the rows a sampled batch takes
+    grid = Batch(build_grid(cube.width, cube.height), np.ascontiguousarray(cube.band_matrix().T))
 
     params = init_params(spec, cfg.seed)
     state = fresh_state(params)

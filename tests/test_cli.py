@@ -493,8 +493,12 @@ def test_decompress_writes_what_save_cube_writes(tmp_path, capsys, monkeypatch, 
     assert len(writes) == bands * buffers
     monkeypatch.undo()
     want = tmp_path / "w.raw"
-    save_cube(decompress(enc), want)
+    cube = decompress(enc)
+    save_cube(cube, want)
     assert out.read_bytes() == want.read_bytes()
+    # one decode result: the library's cube holds the file's samples
+    assert cube.data.dtype == np.float32
+    assert out.read_bytes() == cube.data.tobytes()
     assert (tmp_path / "r.hdr").read_bytes() == (tmp_path / "w.hdr").read_bytes()
 
 

@@ -1,5 +1,7 @@
 """Cube I/O, normalization, and synthetic generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,46 @@ def test_load_size_mismatch(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])  # truncate one sample
     with pytest.raises(CubeFormatError, match="expected"):
         open_cube(path)
+
+
+def test_wrong_size_file_is_rejected_before_it_is_read(tmp_path):
+    # a sparse 1 GiB file under a 32x32x8 header: only its size is looked at
+    path = tmp_path / "big.raw"
+    with open(path, "wb") as fh:
+        fh.truncate(1 << 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CubeFormatError, match="expected 32768 bytes"):
+            load_cube(path, CubeHeader(32, 32, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_loaded_cube_is_writable_float32(tmp_path):
+    save_cube(synth_cube("random", 3, 2, 2, seed=0), tmp_path / "c.raw")
+    data = open_cube(tmp_path / "c.raw").data
+    assert data.dtype == np.float32 and data.flags.writeable
+    data[0] = 2.0
+
+
+def test_float64_samples_are_rounded_once():
+    vals = np.random.default_rng(4).uniform(-40.0, 90.0, 3 * 2 * 5)
+    cube = HyperCube(3, 2, 5, vals)
+    assert cube.data.dtype == np.float32
+    assert np.array_equal(cube.data, vals.astype(np.float32))
+
+
+def test_save_rejects_non_finite_samples_before_writing(tmp_path):
+    with np.errstate(over="ignore"):
+        cube = HyperCube(2, 2, 1, [0.0, np.nan, 1e39, 1.0])  # 1e39 overflows float32
+    with pytest.raises(ValueError, match=r"sample 1 \(band 0, row 0, col 1\) is nan"):
+        save_cube(cube, tmp_path / "c.raw")
+    cube.data[1] = 0.0
+    with pytest.raises(ValueError, match=r"sample 2 \(band 0, row 1, col 0\) is inf"):
+        save_cube(cube, tmp_path / "c.raw")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_missing_file(tmp_path):
@@ -131,6 +173,16 @@ def test_normalize_exact_values():
     norm, scale = normalize(cube)
     assert norm.data.tolist() == [0.0, 0.5, 1.0]
     assert (scale.raw_min, scale.raw_max) == (10.0, 30.0)
+
+
+def test_normalize_rounds_float64_arithmetic_once():
+    # 0.1 and 0.7 are inexact in float32, so float32 arithmetic would differ
+    cube = make_cube(5, 1, 1, [0.1, 0.2, 0.3, 0.5, 0.7])
+    norm, scale = normalize(cube)
+    x = cube.data.astype(np.float64)
+    want = ((x - scale.raw_min) / (scale.raw_max - scale.raw_min)).astype(np.float32)
+    assert norm.data.dtype == np.float32
+    assert np.array_equal(norm.data, want)
 
 
 def test_normalize_constant_cube():

@@ -16,11 +16,13 @@ from hsin import (
     bpppb,
     compress,
     decompress,
+    mse,
     normalize,
     psnr,
     serialize,
     synth_cube,
 )
+from hsin.codec import reconstruct_normalized
 from hsin.encoder import overfit
 from hsin.metrics import psnr_from_mse
 from hsin.siren import param_count
@@ -193,14 +195,23 @@ def test_search_uses_half16_bits_for_budget():
 
 # ----------------------------------------------------------------- compress
 
+def assert_report_scores_the_decode(cube, spec, enc, report):
+    # the report's scores are exactly those of the decode-side reconstruction
+    # against the normalized cube; in raw units the float32 decode differs
+    # only by its rounding (about 1e-7 dB here)
+    norm = normalize(cube)[0].band_matrix()
+    recon = reconstruct_normalized(spec, enc.params, cube.width, cube.height).T
+    assert (report.mse, report.psnr) == (mse(norm, recon), psnr(norm, recon))
+    lo, hi = cube.value_range
+    raw_psnr = psnr(cube.band_matrix(), decompress(enc).band_matrix(), peak=hi - lo)
+    assert abs(raw_psnr - report.psnr) < 1e-6
+
+
 def test_compress_report_is_honest():
     cube = synth_cube("smooth-gradient", 16, 16, 4)
     spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=4)
     enc, report = compress(cube, spec, TrainConfig(iterations=400, eval_every=100))
-    recon = decompress(enc)
-    lo, hi = cube.value_range
-    raw_psnr = psnr(cube.band_matrix(), recon.band_matrix(), peak=hi - lo)
-    assert abs(raw_psnr - report.psnr) < 1e-9
+    assert_report_scores_the_decode(cube, spec, enc, report)
     assert report.mse > 0 and 0 < report.ssim_mean <= 1
     assert report.bpppb == bpppb(param_count(spec), 32, 16, 16, 4)
     assert report.compress_seconds > 0 and report.decompress_seconds > 0
@@ -212,9 +223,7 @@ def test_compress_report_is_honest_half16():
     cfg = TrainConfig(iterations=400, eval_every=100, half=True)
     enc, report = compress(cube, spec, cfg)
     assert enc.quantized and enc.params.dtype == np.float16
-    recon = decompress(enc)
-    lo, hi = cube.value_range
-    assert abs(psnr(cube.band_matrix(), recon.band_matrix(), peak=hi - lo) - report.psnr) < 1e-9
+    assert_report_scores_the_decode(cube, spec, enc, report)
     assert report.bpppb == bpppb(param_count(spec), 16, 16, 16, 4)
 
 
