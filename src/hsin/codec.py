@@ -187,10 +187,10 @@ def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
              height: int) -> Callable[..., np.ndarray]:
     """net(rows, out=None): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
 
-    The one normalized decode step, shared by the encoder's report and both
-    decoders; a float16 payload is widened exactly to float32. The grid's
-    float32 coordinates (8 B per pixel) are made now, so a scene too large
-    for memory fails before a decoder opens its output.
+    The one normalized decode step, shared by the encoder's evals and report
+    and both decoders; a float16 payload is widened exactly to float32. The
+    grid's float32 coordinates (8 B per pixel) are made now, so a scene too
+    large for memory fails before a decoder opens its output.
     """
     coords = build_grid(width, height)
     params = np.asarray(params, dtype=np.float32)
@@ -205,8 +205,8 @@ def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
 def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, height: int) -> np.ndarray:
     """Evaluate the net on the full grid; (n_pixels, bands) float32 in [0, 1].
 
-    The encoder scores snapshots through this call, with decompress's
-    tile_net, so reported quality matches what a decoder will actually see.
+    tile_net's tiles held whole, for the compress report's SSIM and its
+    decompress_seconds only: the encoder scores each eval tile by tile.
     Every row is bitwise equal to one untiled evaluation of the whole grid.
     """
     net = tile_net(spec, params, width, height)

@@ -19,6 +19,7 @@ import numpy as np
 _INTERLEAVE = "bsq"
 _DTYPE = "f32le"
 _SYNTH_KINDS = ("smooth-gradient", "band-sinusoid", "random")
+NORMALIZE_CHUNK = 1 << 15  # samples normalize widens to float64 at a time (256 KiB)
 
 
 class CubeFormatError(Exception):
@@ -223,16 +224,17 @@ def save_cube(cube: HyperCube, data_path: str | Path) -> None:
 def normalize(cube: HyperCube) -> tuple[HyperCube, ScaleInfo]:
     """Min-max scale all samples into [0, 1], in float64, rounded once to float32.
 
-    A constant cube maps to all zeros. The returned ScaleInfo restores raw
-    units: v * (raw_max - raw_min) + raw_min, as codec.decompress applies it.
+    Float64 is held for one NORMALIZE_CHUNK; a constant cube maps to all zeros.
+    The returned ScaleInfo restores raw units: v * (raw_max - raw_min) + raw_min.
     """
     lo, hi = cube.value_range
+    scaled = np.zeros_like(cube.data)
     if hi > lo:
-        # dtype: against a python float numpy would subtract in float32 (NEP 50)
-        scaled = np.subtract(cube.data, lo, dtype=np.float64)
-        scaled /= hi - lo
-    else:
-        scaled = np.zeros_like(cube.data)
+        for i in range(0, scaled.size, NORMALIZE_CHUNK):
+            # dtype: against a python float numpy would subtract in float32 (NEP 50)
+            chunk = np.subtract(cube.data[i:i + NORMALIZE_CHUNK], lo, dtype=np.float64)
+            chunk /= hi - lo
+            scaled[i:i + NORMALIZE_CHUNK] = chunk
     return HyperCube(cube.width, cube.height, cube.bands, scaled), ScaleInfo(lo, hi)
 
 
@@ -251,21 +253,21 @@ def synth_cube(kind: str, width: int, height: int, bands: int, seed: int = 0) ->
     random:          uniform noise in [0, 1).
 
     x and y are the unit-normalized pixel coordinates and band_frac is
-    band_index / bands.
+    band_index / bands. Float64 is held for one band, each rounded once.
     """
     if kind not in _SYNTH_KINDS:
         raise ValueError(f"unknown synth kind {kind!r}; expected one of {_SYNTH_KINDS}")
     if min(width, height, bands) < 1:
         raise ValueError("cube dimensions must be >= 1")
-    if kind == "random":
-        vals = np.random.default_rng(seed).random(bands * height * width)
-    else:
-        x = _axis_unit(width)[None, None, :]
-        y = _axis_unit(height)[None, :, None]
-        t = (np.arange(bands, dtype=np.float64) / bands)[:, None, None]
-        phase = x + y + t
-        if kind == "smooth-gradient":
-            vals = np.clip(phase / 3.0, 0.0, 1.0)
+    out = np.empty((bands, width * height), dtype=np.float32)
+    rng = np.random.default_rng(seed)
+    xy = (_axis_unit(width)[None, :] + _axis_unit(height)[:, None]).ravel()
+    t = np.arange(bands, dtype=np.float64) / bands
+    for b in range(bands):
+        if kind == "random":
+            out[b] = rng.random(out.shape[1])
+        elif kind == "smooth-gradient":
+            out[b] = np.clip((xy + t[b]) / 3.0, 0.0, 1.0)
         else:
-            vals = 0.5 + 0.5 * np.sin(2.0 * np.pi * phase)
-    return HyperCube(width, height, bands, vals)
+            out[b] = 0.5 + 0.5 * np.sin(2.0 * np.pi * (xy + t[b]))
+    return HyperCube(width, height, bands, out)

@@ -33,7 +33,12 @@ def mse(a, b) -> float:
     place, not copied, and only one tile's difference is held at a time.
     """
     x, y = _band_pair(a, b)
-    return sum(_sum_square_diff(x[:, c], y[:, c]) for c in row_tiles(x.shape[1])) / x.size
+    return tiled_mse(lambda c: x[:, c], y)
+
+
+def tiled_mse(tile, b: np.ndarray) -> float:
+    """mse(a, b), where tile(c) makes a[:, c] per row_tiles slice c: a is never held whole."""
+    return sum(_sum_square_diff(tile(c), b[:, c]) for c in row_tiles(b.shape[1])) / b.size
 
 
 def _sum_square_diff(x: np.ndarray, y: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -301,6 +302,32 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "hsin", "synth"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and "error:" in proc.stderr
+
+
+def test_cli_keeps_tile_arrays_in_the_heap(tmp_path):
+    # each row tile makes and frees arrays above glibc's default 128 KiB mmap
+    # threshold, which maps them afresh, so every tile faulted its pages in
+    # again: cli.run raises the threshold. The same compress through the
+    # library keeps glibc's defaults: 6k page faults against 41k here
+    resource = pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the allocator thresholds are glibc's")
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("band-sinusoid", 64, 64, 64), raw)
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {**os.environ, "HSIN_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    library = ("import sys, hsin; cube = hsin.open_cube(sys.argv[1]); hsin.compress(cube, "
+               "hsin.SirenSpec(5, 40, cube.bands), hsin.TrainConfig(20, eval_every=20))")
+    faults = []
+    for argv in (["-m", "hsin", "compress", "--input", str(raw), "--layers", "5", "--width", "40",
+                  "--iters", "20", "--eval-every", "20", "--out", str(tmp_path / "c.hsin")],
+                 ["-c", library, str(raw)]):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, *argv], env=env, check=True, capture_output=True,
+                       timeout=120)
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    assert 3 * faults[0] < faults[1], faults
 
 
 def test_decompress_out_of_memory_exits_2(tmp_path):

@@ -205,6 +205,32 @@ def test_normalize_range_and_monotone():
     assert np.all(np.diff(norm.data[order]) >= 0)
 
 
+def _traced_peak(fn):
+    """fn's result and the most traced bytes it held above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# 1,996,800 samples: several normalize chunks, the last one short
+MEMORY_SCENE = (130, 120, 128)
+
+
+def test_normalize_peak_memory_is_its_result_and_one_chunk():
+    # the float32 result is 4 B per sample; a whole-cube float64 quotient
+    # beside it peaked at 12 B per sample
+    cube = synth_cube("band-sinusoid", *MEMORY_SCENE)
+    (norm, scale), peak = _traced_peak(lambda: normalize(cube))
+    assert peak <= 4.5 * cube.data.size
+    x = cube.data.astype(np.float64)
+    want = ((x - scale.raw_min) / (scale.raw_max - scale.raw_min)).astype(np.float32)
+    assert np.array_equal(norm.data, want)
+
+
 # -------------------------------------------------------------------- synth
 
 def test_synth_smooth_gradient_hand_values():
@@ -226,6 +252,37 @@ def test_synth_determinism_and_kinds():
         synth_cube("checkerboard", 2, 2, 2)
     with pytest.raises(ValueError):
         synth_cube("random", 0, 2, 2)
+
+
+def _synth_oracle(kind: str, width: int, height: int, bands: int, seed: int) -> np.ndarray:
+    # the whole cube in float64 at once, rounded to float32 once
+    if kind == "random":
+        return np.random.default_rng(seed).random(bands * height * width).astype(np.float32)
+    x = (np.arange(width) / max(width - 1, 1))[None, None, :]
+    y = (np.arange(height) / max(height - 1, 1))[None, :, None]
+    t = (np.arange(bands) / bands)[:, None, None]
+    phase = x + y + t
+    if kind == "smooth-gradient":
+        vals = np.clip(phase / 3.0, 0.0, 1.0)
+    else:
+        vals = 0.5 + 0.5 * np.sin(2.0 * np.pi * phase)
+    return vals.astype(np.float32).ravel()
+
+
+@pytest.mark.parametrize("dims", [(37, 23, 9), (1, 5, 3), (6, 1, 1)])
+@pytest.mark.parametrize("kind", ["smooth-gradient", "band-sinusoid", "random"])
+def test_synth_equals_a_whole_cube_float64_oracle(kind, dims):
+    # synth_cube works one band at a time; random then draws its stream
+    # band by band, which must be the stream one whole-cube draw gives
+    assert np.array_equal(synth_cube(kind, *dims, seed=5).data, _synth_oracle(kind, *dims, 5))
+
+
+def test_synth_peak_memory_is_its_cube_and_one_band():
+    synth_cube("random", 2, 2, 2)  # numpy loads np.random lazily, on first use
+    cube, peak = _traced_peak(lambda: synth_cube("band-sinusoid", *MEMORY_SCENE))
+    # the float32 cube is 4 B per sample; the broadcast float64 phase and its
+    # sine peaked at 24 B per sample
+    assert peak <= 4.5 * cube.data.size
 
 
 def test_synth_survives_disk_round_trip(tmp_path):

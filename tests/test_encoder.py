@@ -127,6 +127,28 @@ def test_full_batch_overfit_peak_memory():
     assert peak <= 6_374_941
 
 
+def test_compress_peak_memory_is_two_float32_copies_of_the_cube():
+    # above its input: the normalized float32 cube (4 B per sample) and, in
+    # training, its pixel-major float32 copy (4 B), then the report's float32
+    # reconstruction in its place, plus one tile's buffers and a sampled
+    # batch (here 9.2 B full batch, 10.1 sampled). A whole-cube float64
+    # normalize and a whole-grid reconstruction at each eval made it 12.8
+    # and 13.6
+    cube = synth_cube("band-sinusoid", 130, 120, 128)
+    spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=128)
+    for cfg in (TrainConfig(iterations=2, eval_every=1),
+                TrainConfig(iterations=2, eval_every=1, half=True,
+                            sample=SampleConfig(window=3, rate=0.25))):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compress(cube, spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * cube.data.size
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(iterations=0)
