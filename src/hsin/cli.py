@@ -163,8 +163,8 @@ def _cmd_compress(args) -> int:
                 csv.writer(fh).writerows(
                     [("epoch", "psnr")] + [(e, repr(float(s))) for e, s in report.history])
     print(report.to_text())
-    print(f"n_hidden={enc.n_hidden}")
-    print(f"hidden_width={enc.hidden_width}")
+    print(f"n_hidden={enc.spec.n_hidden}")
+    print(f"hidden_width={enc.spec.hidden_width}")
     print(f"n_params={enc.params.size}")
     print(f"file_bytes={len(blob)}")
     print(f"out={args.out}")

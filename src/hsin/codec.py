@@ -107,47 +107,45 @@ def check_format(width: int, height: int, spec: SirenSpec) -> None:
 
 @dataclass(eq=False)
 class EncodedImage:
-    """Everything needed to reconstruct one cube: shape, net, scale, weights."""
+    """A .hsin file in memory: shape, net, scale, finite weights; their dtype is the precision."""
 
     width: int
     height: int
-    bands: int
-    n_hidden: int
-    hidden_width: int
-    quantized: bool
+    spec: SirenSpec
     scale: ScaleInfo
     params: np.ndarray
 
     def __post_init__(self) -> None:
-        spec = self.to_spec()
-        check_format(self.width, self.height, spec)
-        want = payload_dtype(self.quantized)
-        if self.params.ndim != 1 or self.params.dtype != want:
+        check_format(self.width, self.height, self.spec)
+        if self.params.ndim != 1 or self.params.dtype != payload_dtype(self.quantized):
             raise ValueError(
-                f"params must be a 1-D {want.name} vector, "
+                "params must be a 1-D float16 or float32 vector, "
                 f"got {self.params.dtype} with shape {self.params.shape}"
             )
-        expected = param_count(spec)
+        expected = param_count(self.spec)
         if self.params.size != expected:
             raise ValueError(f"expected {expected} parameters, got {self.params.size}")
+        bad = ~np.isfinite(self.params)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"parameter {i} is {float(self.params[i])}; weights must be finite")
         # the wire format stores the scale at float32 precision; canonicalize
         # now so a serialize round trip reproduces this object bitwise
         self.scale = ScaleInfo(
             float(np.float32(self.scale.raw_min)), float(np.float32(self.scale.raw_max))
         )
 
-    def to_spec(self) -> SirenSpec:
-        return SirenSpec(n_hidden=self.n_hidden, hidden_width=self.hidden_width, out_dim=self.bands)
+    @property
+    def quantized(self) -> bool:
+        """True for a float16 payload (precision flag 1), False for float32 (flag 0)."""
+        return self.params.dtype == payload_dtype(True)
 
 
 def serialize(enc: EncodedImage) -> bytes:
-    head = _HEADER.pack(
-        MAGIC, VERSION, enc.width, enc.height, enc.bands,
-        enc.n_hidden, enc.hidden_width, int(enc.quantized),
-    )
+    head = _HEADER.pack(MAGIC, VERSION, enc.width, enc.height, enc.spec.out_dim,
+                        enc.spec.n_hidden, enc.spec.hidden_width, int(enc.quantized))
     scale = _SCALE.pack(enc.scale.raw_min, enc.scale.raw_max)
-    payload = enc.params.astype(payload_dtype(enc.quantized), copy=False).tobytes()
-    return head + scale + payload
+    return head + scale + enc.params.tobytes()
 
 
 def deserialize(blob: bytes) -> EncodedImage:
@@ -163,22 +161,15 @@ def deserialize(blob: bytes) -> EncodedImage:
     if min(width, height, bands, n_hidden, hidden_width) < 1:
         raise BitstreamError("header contains a zero dimension")
     raw_min, raw_max = _SCALE.unpack_from(blob, _HEADER.size)
-    count = param_count(SirenSpec(n_hidden=n_hidden, hidden_width=hidden_width, out_dim=bands))
+    spec = SirenSpec(n_hidden=n_hidden, hidden_width=hidden_width, out_dim=bands)
+    count = param_count(spec)
     dtype = payload_dtype(bool(qflag))
     expected = HEADER_BYTES + count * dtype.itemsize
     if len(blob) != expected:
         raise BitstreamError(f"expected {expected} bytes for {count} parameters, got {len(blob)}")
     params = np.frombuffer(blob, dtype=dtype, offset=HEADER_BYTES).copy()
-    bad = ~np.isfinite(params)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise BitstreamError(f"parameter {i} is {float(params[i])}; weights must be finite")
     try:
-        return EncodedImage(
-            width=width, height=height, bands=bands,
-            n_hidden=n_hidden, hidden_width=hidden_width,
-            quantized=bool(qflag), scale=ScaleInfo(raw_min, raw_max), params=params,
-        )
+        return EncodedImage(width, height, spec, ScaleInfo(raw_min, raw_max), params)
     except ValueError as exc:
         raise BitstreamError(f"inconsistent stream: {exc}") from exc
 
@@ -223,7 +214,7 @@ def tile_decoder(enc: EncodedImage) -> Callable[[slice, np.ndarray], None]:
     times (raw_max - raw_min) plus raw_min, computed in a float64 tile and
     rounded once. decompress and decompress_to both decode through it.
     """
-    net = tile_net(enc.to_spec(), enc.params, enc.width, enc.height)
+    net = tile_net(enc.spec, enc.params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
 
     def decode(rows: slice, out: np.ndarray) -> None:
@@ -239,10 +230,10 @@ def tile_decoder(enc: EncodedImage) -> Callable[[slice, np.ndarray], None]:
 def decompress(enc: EncodedImage) -> HyperCube:
     """Decode to a float32 cube in raw units: the samples decompress_to writes."""
     decode = tile_decoder(enc)
-    raw = np.empty((enc.bands, enc.width * enc.height), dtype=np.float32)
+    raw = np.empty((enc.spec.out_dim, enc.width * enc.height), dtype=np.float32)
     for rows in row_tiles(raw.shape[1]):
         decode(rows, raw[:, rows])
-    return HyperCube(enc.width, enc.height, enc.bands, raw)
+    return HyperCube(enc.width, enc.height, enc.spec.out_dim, raw)
 
 
 def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
@@ -253,12 +244,12 @@ def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
     one positioned write per band, at the band's offset in the file.
     Returns the CubeHeader written to the .hdr sidecar.
     """
-    header = CubeHeader(enc.width, enc.height, enc.bands)
+    header = CubeHeader(enc.width, enc.height, enc.spec.out_dim)
     decode = tile_decoder(enc)
     n = enc.width * enc.height
     tiles = row_tiles(n)
     longest = max(rows.stop - rows.start for rows in tiles)
-    buf = np.empty((enc.bands, max(min(WRITE_BUFFER_BYTES // (4 * enc.bands), n), longest)),
+    buf = np.empty((header.bands, max(min(WRITE_BUFFER_BYTES // (4 * header.bands), n), longest)),
                    dtype="<f4")
     with create_cube(data_path, header) as fh:
         if not fh.seekable():

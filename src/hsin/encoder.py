@@ -171,11 +171,7 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
         spec = architecture_search(normalized, float(spec_or_budget), seed=cfg.seed, half=cfg.half)
 
     snap = overfit(normalized, spec, cfg)
-    enc = EncodedImage(
-        width=cube.width, height=cube.height, bands=cube.bands,
-        n_hidden=spec.n_hidden, hidden_width=spec.hidden_width,
-        quantized=cfg.half, scale=scale, params=snap.params,
-    )
+    enc = EncodedImage(cube.width, cube.height, spec, scale, snap.params)
     compress_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -186,7 +182,7 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
         mse=snap.mse,
         psnr=snap.psnr,
         ssim_mean=ssim_mean(normalized.band_matrix(), recon.T),
-        bpppb=bpppb(param_count(spec), payload_bits(cfg.half),
+        bpppb=bpppb(param_count(spec), payload_bits(enc.quantized),
                     cube.width, cube.height, cube.bands),
         compress_seconds=compress_seconds,
         decompress_seconds=decompress_seconds,

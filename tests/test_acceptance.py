@@ -91,21 +91,18 @@ def test_criterion_2_codec_round_trip():
             enc = EncodedImage(
                 width=int(rng.integers(1, 200)),
                 height=int(rng.integers(1, 200)),
-                bands=spec.out_dim,
-                n_hidden=spec.n_hidden,
-                hidden_width=spec.hidden_width,
-                quantized=quantized,
+                spec=spec,
                 scale=ScaleInfo(lo, lo + 1.0),
                 params=params,
             )
             blob = serialize(enc)
             bits = 16 if quantized else 32
             assert len(blob) == 25 + enc.params.size * (bits // 8)
+            assert blob[13] == quantized  # the precision flag follows the payload's dtype
             back = deserialize(blob)
             assert back.params.tobytes() == enc.params.tobytes()
             assert back.params.dtype == enc.params.dtype
-            assert (back.width, back.height, back.bands) == (enc.width, enc.height, enc.bands)
-            assert (back.n_hidden, back.hidden_width) == (enc.n_hidden, enc.hidden_width)
+            assert (back.width, back.height, back.spec) == (enc.width, enc.height, enc.spec)
             assert back.quantized == enc.quantized and back.scale == enc.scale
             assert serialize(back) == blob
             checked += 1

@@ -336,9 +336,9 @@ def test_decompress_out_of_memory_exits_2(tmp_path):
     # fails there; uncapped, an overcommitting host would grant it and the
     # decoder would then fill it
     resource = pytest.importorskip("resource")
-    enc = EncodedImage(width=65535, height=65535, bands=1, n_hidden=1, hidden_width=1,
-                       quantized=False, scale=ScaleInfo(0.0, 1.0),
-                       params=np.full(5, 0.5, dtype=np.float32))
+    enc = EncodedImage(width=65535, height=65535,
+                       spec=SirenSpec(n_hidden=1, hidden_width=1, out_dim=1),
+                       scale=ScaleInfo(0.0, 1.0), params=np.full(5, 0.5, dtype=np.float32))
     hsn = tmp_path / "huge.hsin"
     hsn.write_bytes(serialize(enc))
     assert hsn.stat().st_size == 45
@@ -387,7 +387,7 @@ def test_failed_write_leaves_no_output(tmp_path):
     # synth writes partway, over a small cube written before: one error
     # line, and neither the data file nor a .hdr is left behind
     spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=32)
-    enc = EncodedImage(64, 64, 32, 1, 4, False, ScaleInfo(0.0, 1.0), init_params(spec, seed=0))
+    enc = EncodedImage(64, 64, spec, ScaleInfo(0.0, 1.0), init_params(spec, seed=0))
     hsn = tmp_path / "c.hsin"
     hsn.write_bytes(serialize(enc))
     out = tmp_path / "r.raw"
@@ -449,7 +449,7 @@ def test_decompress_to_a_pipe_is_refused_and_the_pipe_kept(tmp_path, capsys):
         pytest.skip("no FIFOs on this platform")
     spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
     hsn = tmp_path / "c.hsin"
-    hsn.write_bytes(serialize(EncodedImage(4, 4, 2, 1, 4, False, ScaleInfo(0.0, 1.0),
+    hsn.write_bytes(serialize(EncodedImage(4, 4, spec, ScaleInfo(0.0, 1.0),
                                            init_params(spec, seed=0))))
     fifo = tmp_path / "r.raw"
     os.mkfifo(fifo)
@@ -468,7 +468,7 @@ def test_failed_cleanup_reports_the_write_error(tmp_path, capsys, monkeypatch):
     # the one reported
     spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
     hsn = tmp_path / "c.hsin"
-    hsn.write_bytes(serialize(EncodedImage(4, 4, 2, 1, 4, False, ScaleInfo(0.0, 1.0),
+    hsn.write_bytes(serialize(EncodedImage(4, 4, spec, ScaleInfo(0.0, 1.0),
                                            init_params(spec, seed=0))))
 
     def full_disk(fd, data, offset):
@@ -499,7 +499,7 @@ def test_decompress_writes_what_save_cube_writes(tmp_path, capsys, monkeypatch, 
     # shrunk to one tile sends 5600 pixels out in 5 buffers
     spec = SirenSpec(n_hidden=2, hidden_width=8, out_dim=bands)
     params = init_params(spec, seed=width + bands)
-    enc = EncodedImage(width, height, bands, 2, 8, half, ScaleInfo(-3.7, 1234.56),
+    enc = EncodedImage(width, height, spec, ScaleInfo(-3.7, 1234.56),
                        quantize(params) if half else params)
     hsn = tmp_path / "c.hsin"
     hsn.write_bytes(serialize(enc))
@@ -537,8 +537,7 @@ def test_decompress_memory_is_bounded_by_the_write_buffer(tmp_path, capsys, monk
     monkeypatch.setattr(hsin.nn, "TILE_ROWS", 64)
     monkeypatch.setattr(hsin.codec, "WRITE_BUFFER_BYTES", 64 << 10)
     spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=bands)
-    enc = EncodedImage(64, 64, bands, 2, 16, False, ScaleInfo(0.0, 1000.0),
-                       init_params(spec, seed=3))
+    enc = EncodedImage(64, 64, spec, ScaleInfo(0.0, 1000.0), init_params(spec, seed=3))
     hsn = tmp_path / "c.hsin"
     hsn.write_bytes(serialize(enc))
     out = tmp_path / "r.raw"

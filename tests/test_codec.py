@@ -104,18 +104,14 @@ def random_encoded(rng, quantized):
     return EncodedImage(
         width=int(rng.integers(1, 51)),
         height=int(rng.integers(1, 51)),
-        bands=spec.out_dim,
-        n_hidden=spec.n_hidden,
-        hidden_width=spec.hidden_width,
-        quantized=quantized,
+        spec=spec,
         scale=ScaleInfo(lo, lo + float(np.float32(rng.uniform(0, 50)))),
         params=params,
     )
 
 
 def assert_same_encoded(a: EncodedImage, b: EncodedImage):
-    assert (a.width, a.height, a.bands) == (b.width, b.height, b.bands)
-    assert (a.n_hidden, a.hidden_width, a.quantized) == (b.n_hidden, b.hidden_width, b.quantized)
+    assert (a.width, a.height, a.spec, a.quantized) == (b.width, b.height, b.spec, b.quantized)
     assert a.scale == b.scale
     assert a.params.dtype == b.params.dtype
     assert a.params.tobytes() == b.params.tobytes()
@@ -126,8 +122,7 @@ def test_header_layout_byte_for_byte():
     n = param_count(spec)
     assert n == 32100
     enc = EncodedImage(
-        width=145, height=145, bands=220, n_hidden=15, hidden_width=40,
-        quantized=False, scale=ScaleInfo(0.25, 1.5),
+        width=145, height=145, spec=spec, scale=ScaleInfo(0.25, 1.5),
         params=np.zeros(n, dtype=np.float32),
     )
     blob = serialize(enc)
@@ -147,6 +142,7 @@ def test_round_trip_random_images_both_precisions():
             enc = random_encoded(rng, quantized)
             blob = serialize(enc)
             assert len(blob) == 25 + enc.params.size * (2 if quantized else 4)
+            assert enc.quantized == quantized and blob[13] == quantized  # precision from the payload
             back = deserialize(blob)
             assert_same_encoded(enc, back)
             assert serialize(back) == blob  # bytes are a fixed point too
@@ -195,11 +191,25 @@ def test_deserialize_rejects_non_finite_weights():
         deserialize(bytes(half))
 
 
+@pytest.mark.parametrize("half", [False, True], ids=["full32", "half16"])
+@pytest.mark.parametrize("bad, i", [(np.nan, 0), (np.inf, 1), (-np.inf, 26)])
+def test_encoded_image_rejects_non_finite_weights(half, bad, i):
+    # a library-built image is checked as a parsed one is: one NaN or inf
+    # weight would otherwise serialize, and decode to non-finite samples
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=3)
+    params = init_params(spec, seed=0)
+    params[i] = bad
+    if half:
+        params = params.astype(np.float16)
+    with pytest.raises(ValueError, match=f"parameter {i} is {float(bad)}; weights must be finite"):
+        EncodedImage(4, 4, spec, ScaleInfo(0.0, 1.0), params)
+
+
 def _fuzz_base(quantized: bool) -> bytes:
     spec = SirenSpec(n_hidden=2, hidden_width=3, out_dim=2)
     params = init_params(spec, seed=1)
     return serialize(EncodedImage(
-        width=3, height=2, bands=2, n_hidden=2, hidden_width=3, quantized=quantized,
+        width=3, height=2, spec=spec,
         scale=ScaleInfo(-1.0, 2.0), params=quantize(params) if quantized else params,
     ))
 
@@ -242,13 +252,15 @@ def test_encoded_image_validation():
     spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=3)
     good = np.zeros(param_count(spec), dtype=np.float32)
     with pytest.raises(ValueError, match="expected 27"):
-        EncodedImage(4, 4, 3, 1, 4, False, ScaleInfo(0, 1), np.zeros(26, dtype=np.float32))
-    with pytest.raises(ValueError, match="float16"):
-        EncodedImage(4, 4, 3, 1, 4, True, ScaleInfo(0, 1), good)
+        EncodedImage(4, 4, spec, ScaleInfo(0, 1), np.zeros(26, dtype=np.float32))
+    # the payload's dtype is the precision: only float16 and float32 have a flag
+    with pytest.raises(ValueError, match="float16 or float32 vector, got float64"):
+        EncodedImage(4, 4, spec, ScaleInfo(0, 1), good.astype(np.float64))
     with pytest.raises(ValueError, match="width"):
-        EncodedImage(0, 4, 3, 1, 4, False, ScaleInfo(0, 1), good)
+        EncodedImage(0, 4, spec, ScaleInfo(0, 1), good)
+    deep = SirenSpec(n_hidden=256, hidden_width=4, out_dim=3)
     with pytest.raises(ValueError, match="n_hidden"):
-        EncodedImage(4, 4, 3, 256, 4, False, ScaleInfo(0, 1), good)
+        EncodedImage(4, 4, deep, ScaleInfo(0, 1), np.zeros(param_count(deep), dtype=np.float32))
 
 
 # --------------------------------------------------------------- decompress
@@ -257,8 +269,7 @@ def test_decompress_shape_scale_and_determinism():
     rng = np.random.default_rng(37)
     spec = SirenSpec(n_hidden=2, hidden_width=8, out_dim=3)
     enc = EncodedImage(
-        width=6, height=5, bands=3, n_hidden=2, hidden_width=8,
-        quantized=False, scale=ScaleInfo(10.0, 30.0),
+        width=6, height=5, spec=spec, scale=ScaleInfo(10.0, 30.0),
         params=init_params(spec, seed=8),
     )
     cube = decompress(enc)
@@ -279,7 +290,7 @@ def test_decompress_inverts_normalize(monkeypatch):
     monkeypatch.setattr(hsin.codec, "mlp_forward",
                         lambda *args: norm.band_matrix().T.astype(np.float32))
     spec = SirenSpec(n_hidden=1, hidden_width=1, out_dim=2)
-    enc = EncodedImage(6, 6, 2, 1, 1, False, scale, init_params(spec, seed=0))
+    enc = EncodedImage(6, 6, spec, scale, init_params(spec, seed=0))
     back = decompress(enc)
     span = scale.raw_max - scale.raw_min
     assert np.abs(back.data - cube.data).max() <= 1e-6 * span
@@ -290,8 +301,8 @@ def test_decompress_half_equals_dequantized_full32_eval():
     spec = SirenSpec(n_hidden=2, hidden_width=8, out_dim=2)
     params = init_params(spec, seed=9)
     half = quantize(params)
-    enc_h = EncodedImage(5, 5, 2, 2, 8, True, ScaleInfo(0.0, 1.0), half)
-    enc_f = EncodedImage(5, 5, 2, 2, 8, False, ScaleInfo(0.0, 1.0), half.astype(np.float32))
+    enc_h = EncodedImage(5, 5, spec, ScaleInfo(0.0, 1.0), half)
+    enc_f = EncodedImage(5, 5, spec, ScaleInfo(0.0, 1.0), half.astype(np.float32))
     assert np.array_equal(decompress(enc_h).data, decompress(enc_f).data)
 
 
@@ -320,7 +331,7 @@ def test_tiled_decode_equals_untiled_evaluation(monkeypatch, width, height, tile
     assert recon.dtype == np.float32
     assert np.array_equal(recon, untiled)
 
-    enc = EncodedImage(width, height, 32, 2, 16, False, ScaleInfo(-3.7, 1234.56), params)
+    enc = EncodedImage(width, height, spec, ScaleInfo(-3.7, 1234.56), params)
     span = enc.scale.raw_max - enc.scale.raw_min
     want = (recon.T.astype(np.float64) * span + enc.scale.raw_min).ravel()
     assert np.array_equal(decompress(enc).data, want.astype(np.float32))
@@ -330,8 +341,7 @@ def test_decode_peak_memory(tmp_path):
     # decompress holds the float32 cube, the grid's coordinates and one
     # tile (5 B per sample at most); save_cube writes the samples as held
     spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=64)
-    enc = EncodedImage(200, 150, 64, 2, 16, False, ScaleInfo(0.0, 1000.0),
-                       init_params(spec, seed=2))
+    enc = EncodedImage(200, 150, spec, ScaleInfo(0.0, 1000.0), init_params(spec, seed=2))
     samples = 200 * 150 * 64
     path = tmp_path / "r.raw"
     tracemalloc.start()

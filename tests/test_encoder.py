@@ -291,7 +291,7 @@ def test_compress_with_budget_triggers_search():
     # fits under 60, so the search returns it without probing
     cube = synth_cube("smooth-gradient", 16, 16, 4)
     enc, report = compress(cube, 60.0, TrainConfig(iterations=100, eval_every=100))
-    assert (enc.n_hidden, enc.hidden_width) == (5, 20)
+    assert (enc.spec.n_hidden, enc.spec.hidden_width) == (5, 20)
     assert report.bpppb == 57.0
 
 
