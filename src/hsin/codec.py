@@ -105,7 +105,7 @@ def check_format(width: int, height: int, spec: SirenSpec) -> None:
             raise ValueError(f"{name} must be an integer in [1, {hi}], got {value!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EncodedImage:
     """A .hsin file in memory: shape, net, scale, finite weights; their dtype is the precision."""
 
@@ -131,9 +131,9 @@ class EncodedImage:
             raise ValueError(f"parameter {i} is {float(self.params[i])}; weights must be finite")
         # the wire format stores the scale at float32 precision; canonicalize
         # now so a serialize round trip reproduces this object bitwise
-        self.scale = ScaleInfo(
+        object.__setattr__(self, "scale", ScaleInfo(
             float(np.float32(self.scale.raw_min)), float(np.float32(self.scale.raw_max))
-        )
+        ))
 
     @property
     def quantized(self) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,15 +199,27 @@ def removed_on_failure(*paths: str | Path):
 def create_cube(data_path: str | Path, header: CubeHeader):
     """Open `data_path` for the block to write, then write its .hdr sidecar.
 
-    If the block or the sidecar fails, the data file and any sidecar at its
-    path are removed (removed_on_failure), so a failed write leaves no
-    partial or stale cube.
+    An existing data file is overwritten in place and cut to the cube's size
+    after the block: truncating it first would make the kernel free its pages
+    and extents, only to allocate them again. Its .hdr is removed before any
+    data is written, so a write cut short, even by a kill, leaves no cube
+    that opens. (No sidecar guards a .hsin that way, so compress still
+    truncates its output.) If the block or the sidecar fails, the data file
+    and any sidecar at its path are removed (removed_on_failure), so a failed
+    write leaves no partial or stale cube.
     """
-    fh = open(data_path, "wb")
-    with removed_on_failure(data_path, header_path(data_path)):
+    hdr = header_path(data_path)
+    # the mode open(..., "wb") uses, so the umask applies the same way
+    fh = os.fdopen(os.open(data_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+    with removed_on_failure(data_path, hdr):
         with fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(hdr)
             yield fh
-        write_header(header, header_path(data_path))
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), 4 * header.width * header.height * header.bands)
+        write_header(header, hdr)
 
 
 def save_cube(cube: HyperCube, data_path: str | Path) -> None:

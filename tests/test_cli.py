@@ -484,6 +484,90 @@ def test_failed_cleanup_reports_the_write_error(tmp_path, capsys, monkeypatch):
     assert os.strerror(errno.ENOSPC) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["decompress", "synth"])
+@pytest.mark.parametrize("old_dims", [(32, 32, 8), (16, 12, 8), (2, 2, 1)],
+                         ids=["larger", "same-size", "smaller"])
+def test_overwritten_output_equals_a_fresh_one(tmp_path, capsys, command, old_dims):
+    # an existing --out is written in place and cut to size: whatever it
+    # held, and a stale .hdr of another shape (same-size: of the same one),
+    # the data file and .hdr end up byte for byte what a new path gets
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=8)
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(EncodedImage(16, 12, spec, ScaleInfo(-2.0, 5.0),
+                                           init_params(spec, seed=4))))
+    argv = {"decompress": ["decompress", "--in", str(hsn)],
+            "synth": ["synth", "--kind", "random", "--dims", "16x12x8", "--seed", "7"]}[command]
+    fresh, old = tmp_path / "fresh.raw", tmp_path / "old.raw"
+    assert cli.run([*argv, "--out", str(fresh)]) == 0
+    save_cube(synth_cube("band-sinusoid", *old_dims, seed=1), old)
+    assert cli.run([*argv, "--out", str(old)]) == 0
+    capsys.readouterr()
+    assert old.stat().st_size == fresh.stat().st_size == 4 * 16 * 12 * 8
+    assert old.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "old.hdr").read_bytes() == (tmp_path / "fresh.hdr").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["decompress", "synth"])
+def test_new_output_has_the_mode_open_wb_gives(tmp_path, capsys, command):
+    # a new --out is created with the permission bits open(path, "wb")
+    # gives under the same umask
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(EncodedImage(4, 4, spec, ScaleInfo(0.0, 1.0),
+                                           init_params(spec, seed=0))))
+    argv = {"decompress": ["decompress", "--in", str(hsn)],
+            "synth": ["synth", "--kind", "random", "--dims", "4x4x2"]}[command]
+    for mask in (0o022, 0o077, 0o002):
+        out, probe = tmp_path / f"r{mask:o}.raw", tmp_path / f"p{mask:o}"
+        previous = os.umask(mask)
+        try:
+            with open(probe, "wb"):
+                pass
+            assert cli.run([*argv, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode == probe.stat().st_mode
+    capsys.readouterr()
+
+
+# Decodes sys.argv[1] to sys.argv[2] and dies after the first band's
+# positioned write, skipping all Python cleanup as a SIGKILL would
+_DIE_AFTER_FIRST_BAND = """
+import os, sys
+import hsin.cli
+pwrite, writes = os.pwrite, []
+
+def pwrite_then_die(fd, data, offset):
+    if writes:
+        os._exit(1)
+    writes.append(offset)
+    return pwrite(fd, data, offset)
+
+os.pwrite = pwrite_then_die
+hsin.cli.run(["decompress", "--in", sys.argv[1], "--out", sys.argv[2]])
+"""
+
+
+def test_killed_decode_over_a_cube_leaves_no_cube_that_opens(tmp_path):
+    # a decode killed partway over a valid cube of the same shape leaves a
+    # mix of old and new samples; open_cube must refuse what is left
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=4)
+    hsn = tmp_path / "c.hsin"
+    hsn.write_bytes(serialize(EncodedImage(8, 6, spec, ScaleInfo(0.0, 1.0),
+                                           init_params(spec, seed=2))))
+    out = tmp_path / "r.raw"
+    save_cube(synth_cube("random", 8, 6, 4), out)
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _DIE_AFTER_FIRST_BAND, str(hsn), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    with pytest.raises(hsin.CubeFormatError):
+        open_cube(out)
+
+
 @pytest.mark.parametrize("width, height, bands, half, buffer_bytes, buffers", [
     (1, 1, 1, False, None, 1),
     (60, 50, 3, False, None, 1),

@@ -1,5 +1,6 @@
 """Quantization against an independent IEEE oracle; bitstream round trips."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -261,6 +262,22 @@ def test_encoded_image_validation():
     deep = SirenSpec(n_hidden=256, hidden_width=4, out_dim=3)
     with pytest.raises(ValueError, match="n_hidden"):
         EncodedImage(4, 4, deep, ScaleInfo(0, 1), np.zeros(param_count(deep), dtype=np.float32))
+
+
+@pytest.mark.parametrize("field", ["params", "spec", "scale"])
+def test_encoded_image_fields_cannot_be_reassigned(field):
+    # no field can be swapped once the constructor has checked it: a
+    # float64 vector with a NaN, assigned after the fact, would otherwise
+    # serialize to a file that deserialize refuses
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
+    enc = EncodedImage(4, 4, spec, ScaleInfo(0.0, 1.0), init_params(spec, seed=0))
+    blob = serialize(enc)
+    bad = {"params": np.full(param_count(spec), np.nan),
+           "spec": SirenSpec(n_hidden=2, hidden_width=4, out_dim=2),
+           "scale": ScaleInfo(0.1, 1.0)}[field]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(enc, field, bad)
+    assert serialize(enc) == blob
 
 
 # --------------------------------------------------------------- decompress
