@@ -19,8 +19,8 @@ from .adam import TrainingDiverged
 from .codec import BitstreamError, HalfRangeError, deserialize, payload_bits, serialize
 # the CLI decodes straight to disk, under the name the bench traces
 from .codec import decompress_to as decompress
-from .cube import (CubeFormatError, header_path, normalize, open_cube, removed_on_failure,
-                   save_cube, synth_cube)
+from .cube import (SYNTH_KINDS, CubeFormatError, header_path, normalize, open_cube,
+                   removed_on_failure, save_cube, synth_cube)
 from .encoder import DEFAULT_PROBE_ITERATIONS, TrainConfig, architecture_search, compress
 from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
 from .sampling import SampleConfig
@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("synth", help="write a synthetic test cube")
-    p.add_argument("--kind", required=True, choices=("smooth-gradient", "band-sinusoid", "random"))
+    p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
     p.add_argument("--dims", required=True, help="WxHxC, e.g. 32x32x8")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output raw cube path (.hdr written beside)")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import errno
 import os
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,6 +117,9 @@ class EncodedImage:
 
     def __post_init__(self) -> None:
         check_format(self.width, self.height, self.spec)
+        # a read-only copy of the caller's weights, so none changes after the checks
+        object.__setattr__(self, "params", np.array(self.params))
+        self.params.flags.writeable = False
         if self.params.ndim != 1 or self.params.dtype != payload_dtype(self.quantized):
             raise ValueError(
                 "params must be a 1-D float16 or float32 vector, "
@@ -167,7 +170,7 @@ def deserialize(blob: bytes) -> EncodedImage:
     expected = HEADER_BYTES + count * dtype.itemsize
     if len(blob) != expected:
         raise BitstreamError(f"expected {expected} bytes for {count} parameters, got {len(blob)}")
-    params = np.frombuffer(blob, dtype=dtype, offset=HEADER_BYTES).copy()
+    params = np.frombuffer(blob, dtype=dtype, offset=HEADER_BYTES)
     try:
         return EncodedImage(width, height, spec, ScaleInfo(raw_min, raw_max), params)
     except ValueError as exc:
@@ -179,7 +182,7 @@ def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
     """net(rows, out=None): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
 
     The one normalized decode step, shared by the encoder's evals and report
-    and both decoders; a float16 payload is widened exactly to float32. The
+    and the raw decode; a float16 payload is widened exactly to float32. The
     grid's float32 coordinates (8 B per pixel) are made now, so a scene too
     large for memory fails before a decoder opens its output.
     """
@@ -207,63 +210,61 @@ def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, heig
     return out
 
 
-def tile_decoder(enc: EncodedImage) -> Callable[[slice, np.ndarray], None]:
-    """decode(rows, out): one hsin.nn.row_tiles tile of pixels in raw units.
+def _raw_blocks(enc: EncodedImage, max_pixels: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first pixel, block) pairs; a block holds pixels first .. first + k as float32 (bands, k).
 
-    `out` is a float32 (bands, len(rows)) array; it gets tile_net's output
-    times (raw_max - raw_min) plus raw_min, computed in a float64 tile and
-    rounded once. decompress and decompress_to both decode through it.
+    A block is a run of whole row_tiles tiles, at most max_pixels (or one tile)
+    wide: tile_net's output times (raw_max - raw_min) plus raw_min, in float64,
+    rounded once into one buffer that the next block overwrites. tile_net and
+    the buffer are made now, so a scene too large for memory fails early.
     """
     net = tile_net(enc.spec, enc.params, enc.width, enc.height)
     span = enc.scale.raw_max - enc.scale.raw_min
+    n = enc.width * enc.height
+    tiles = row_tiles(n)
+    longest = max(rows.stop - rows.start for rows in tiles)
+    buf = np.empty((enc.spec.out_dim, max(min(max_pixels, n), longest)), dtype="<f4")
 
-    def decode(rows: slice, out: np.ndarray) -> None:
-        # dtype: against a python float numpy would multiply in float32 and
-        # only widen the product (NEP 50)
-        tile = np.multiply(net(rows).T, span, dtype=np.float64)
-        tile += enc.scale.raw_min
-        out[...] = tile
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        first = filled = 0  # the buffer holds pixels first .. first + filled
+        for rows in tiles:
+            k = rows.stop - rows.start
+            if filled + k > buf.shape[1]:
+                yield first, buf[:, :filled]
+                first, filled = rows.start, 0
+            # dtype: numpy multiplies float32 by a python float in float32 (NEP 50)
+            tile = np.multiply(net(rows).T, span, dtype=np.float64)
+            tile += enc.scale.raw_min
+            buf[:, filled:filled + k] = tile
+            del tile  # held into the next tile's net, it cost a 145x145x220 decode 3%
+            filled += k
+        yield first, buf[:, :filled]
 
-    return decode
+    return blocks()
 
 
 def decompress(enc: EncodedImage) -> HyperCube:
     """Decode to a float32 cube in raw units: the samples decompress_to writes."""
-    decode = tile_decoder(enc)
-    raw = np.empty((enc.spec.out_dim, enc.width * enc.height), dtype=np.float32)
-    for rows in row_tiles(raw.shape[1]):
-        decode(rows, raw[:, rows])
+    (_, raw), = _raw_blocks(enc, enc.width * enc.height)
     return HyperCube(enc.width, enc.height, enc.spec.out_dim, raw)
 
 
 def decompress_to(enc: EncodedImage, data_path: str | Path) -> CubeHeader:
     """Write save_cube(decompress(enc), data_path)'s bytes without holding the cube.
 
-    Tiles are decoded into one band-major buffer of at most
-    WRITE_BUFFER_BYTES (always at least one tile); a full buffer goes out as
+    _raw_blocks decodes into one band-major buffer of at most
+    WRITE_BUFFER_BYTES (always at least one tile); each block goes out as
     one positioned write per band, at the band's offset in the file.
     Returns the CubeHeader written to the .hdr sidecar.
     """
     header = CubeHeader(enc.width, enc.height, enc.spec.out_dim)
-    decode = tile_decoder(enc)
-    n = enc.width * enc.height
-    tiles = row_tiles(n)
-    longest = max(rows.stop - rows.start for rows in tiles)
-    buf = np.empty((header.bands, max(min(WRITE_BUFFER_BYTES // (4 * header.bands), n), longest)),
-                   dtype="<f4")
+    blocks = _raw_blocks(enc, WRITE_BUFFER_BYTES // (4 * header.bands))
     with create_cube(data_path, header) as fh:
         if not fh.seekable():
             raise OSError(errno.ESPIPE, f"cannot write {data_path}: bands are written at their "
                           "offsets, so the output must be a seekable file, not a pipe")
-        first = filled = 0  # the buffer holds pixels first .. first + filled
-        for rows in tiles:
-            k = rows.stop - rows.start
-            if filled + k > buf.shape[1]:
-                _write_bands(fh.fileno(), buf[:, :filled], n, first)
-                first, filled = rows.start, 0
-            decode(rows, buf[:, filled:filled + k])
-            filled += k
-        _write_bands(fh.fileno(), buf[:, :filled], n, first)
+        for first, block in blocks:
+            _write_bands(fh.fileno(), block, enc.width * enc.height, first)
     return header
 
 

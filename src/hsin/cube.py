@@ -19,7 +19,7 @@ import numpy as np
 
 _INTERLEAVE = "bsq"
 _DTYPE = "f32le"
-_SYNTH_KINDS = ("smooth-gradient", "band-sinusoid", "random")
+SYNTH_KINDS = ("smooth-gradient", "band-sinusoid", "random")
 NORMALIZE_CHUNK = 1 << 15  # samples normalize widens to float64 at a time (256 KiB)
 
 
@@ -268,8 +268,8 @@ def synth_cube(kind: str, width: int, height: int, bands: int, seed: int = 0) ->
     x and y are the unit-normalized pixel coordinates and band_frac is
     band_index / bands. Float64 is held for one band, each rounded once.
     """
-    if kind not in _SYNTH_KINDS:
-        raise ValueError(f"unknown synth kind {kind!r}; expected one of {_SYNTH_KINDS}")
+    if kind not in SYNTH_KINDS:
+        raise ValueError(f"unknown synth kind {kind!r}; expected one of {SYNTH_KINDS}")
     if min(width, height, bands) < 1:
         raise ValueError("cube dimensions must be >= 1")
     out = np.empty((bands, width * height), dtype=np.float32)

@@ -90,11 +90,11 @@ def mlp_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.n
 
 
 def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
-               grad_layers, accumulate: bool) -> float:
+               grad_layers) -> float:
     """One tile's forward and backward; returns the tile's mean squared error.
 
-    Writes (or with `accumulate`, adds) the tile's contribution to each
-    layer's (gw, gb) in grad_layers. The tile's arrays die with the call.
+    Adds the tile's contribution to each layer's (gw, gb) in grad_layers.
+    The tile's arrays die with the call.
     """
     keep: list = []
     dy = _forward(layers, inputs, keep)
@@ -105,12 +105,8 @@ def _tile_step(layers, inputs: np.ndarray, targets: np.ndarray, scale: float,
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
         x = inputs if i == 0 else keep[i - 1][1]
-        if accumulate:
-            gw += dy.T @ x
-            gb += ones @ dy
-        else:
-            np.matmul(dy.T, x, out=gw)
-            np.matmul(ones, dy, out=gb)
+        gw += dy.T @ x
+        gb += ones @ dy
         if i > 0:
             s = keep[i - 1][0]
             c = np.cos(s, out=s)  # w0 * z is no longer needed
@@ -126,10 +122,9 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tupl
     Arithmetic stays in the dtype of `params` (float32 in training,
     float64 in gradient checks); W0 is a python float so no accidental
     upcast happens. The batch runs forward and backward one row tile
-    (row_tiles) at a time, each tile in arrays of its own: the first tile
-    writes each layer's gradient and later tiles add to it, so a batch of
-    one tile gets exactly the untiled arithmetic. The gradient is a new
-    vector.
+    (row_tiles) at a time, each tile in arrays of its own, adding into a
+    zeroed gradient, so a batch of one tile gets the untiled values (a -0.0
+    turns +0.0). The gradient is a new vector.
     """
     layers = unflatten(spec, params)
     inputs = _inputs(spec, params, batch.inputs)
@@ -138,10 +133,10 @@ def mlp_loss_and_grad(spec: SirenSpec, params: np.ndarray, batch: Batch) -> tupl
     # d(mean of diff^2)/d(pred); the batch's entry count normalizes the mean
     scale = 2.0 / (n * spec.out_dim)
 
-    grads = np.empty_like(params)
+    grads = np.zeros_like(params)
     grad_layers = unflatten(spec, grads)
     loss = 0.0
-    for t, rows in enumerate(row_tiles(n)):
-        tile_loss = _tile_step(layers, inputs[rows], targets[rows], scale, grad_layers, t > 0)
+    for rows in row_tiles(n):
+        tile_loss = _tile_step(layers, inputs[rows], targets[rows], scale, grad_layers)
         loss += tile_loss * ((rows.stop - rows.start) / n)
     return loss, grads

@@ -33,10 +33,11 @@ class SampleConfig:
 
 
 def _axis_coords(n: int) -> np.ndarray:
-    # -1 + 2*j/(n-1) in float64, rounded once to float32; a single sample sits at 0
+    # -1 + 2*j/(n-1): 2*j, / (n-1), -1 each in float64, rounded once to float32;
+    # a single sample sits at 0
     if n == 1:
         return np.zeros(1, dtype=np.float32)
-    return (np.arange(n, dtype=np.float64) * (2.0 / (n - 1)) - 1.0).astype(np.float32)
+    return (np.arange(n, dtype=np.float64) * 2.0 / (n - 1) - 1.0).astype(np.float32)
 
 
 def build_grid(width: int, height: int) -> np.ndarray:

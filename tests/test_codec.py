@@ -280,6 +280,22 @@ def test_encoded_image_fields_cannot_be_reassigned(field):
     assert serialize(enc) == blob
 
 
+def test_encoded_image_weights_cannot_be_written():
+    # the image keeps a read-only copy of the weights: a NaN written into
+    # them would skip the finite check, and serialize would write a file
+    # that deserialize refuses
+    spec = SirenSpec(n_hidden=1, hidden_width=4, out_dim=2)
+    weights = init_params(spec, seed=0)
+    enc = EncodedImage(4, 4, spec, ScaleInfo(0.0, 1.0), weights)
+    blob = serialize(enc)
+    with pytest.raises(ValueError, match="read-only"):
+        enc.params[0] = np.nan
+    assert serialize(enc) == blob
+    weights[0] = np.nan  # the caller's array is not the image's, and stays writable
+    assert serialize(enc) == blob
+    assert deserialize(blob).params.tobytes() == enc.params.tobytes()
+
+
 # --------------------------------------------------------------- decompress
 
 def test_decompress_shape_scale_and_determinism():

@@ -36,11 +36,25 @@ def test_grid_spacing_uniform():
     assert np.allclose(np.diff(xs), 2.0 / 8)
 
 
+def literal_axis(n: int) -> np.ndarray:
+    # FORMAT.md step 3 in python floats (binary64; int / int rounds once), then float32
+    return np.array([-1 + 2 * j / (n - 1) for j in range(n)]).astype(np.float32)
+
+
 def test_grid_is_float32_rounded_once_from_float64():
     g = build_grid(7, 3)
     assert g.dtype == np.float32
-    assert np.array_equal(g[:7, 0], (np.arange(7) * (2.0 / 6) - 1.0).astype(np.float32))
+    assert np.array_equal(g[:7, 0], literal_axis(7))
     assert np.array_equal(g[::7, 1], np.array([-1.0, 0.0, 1.0], dtype=np.float32))
+
+
+@pytest.mark.parametrize("n", [99, 197])
+def test_grid_is_the_stated_formula_bit_for_bit(n):
+    # at these sizes j * (2/(n-1)) - 1 rounds differently: at n = 99 the
+    # centre pixel (j = 49) would sit at -2**-53, not 0
+    g = build_grid(n, n)
+    assert g[:n, 0].tobytes() == literal_axis(n).tobytes()
+    assert g[::n, 1].tobytes() == literal_axis(n).tobytes()
 
 
 def test_grid_build_peak_is_12_bytes_per_pixel():
