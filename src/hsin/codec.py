@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import CubeHeader, HyperCube, ScaleInfo, create_cube
+from .metrics import tiled_mse
 from .nn import mlp_forward, row_tiles
 from .sampling import build_grid
 from .siren import SirenSpec, param_count
@@ -178,36 +179,33 @@ def deserialize(blob: bytes) -> EncodedImage:
 
 
 def tile_net(spec: SirenSpec, params: np.ndarray, width: int,
-             height: int) -> Callable[..., np.ndarray]:
-    """net(rows, out=None): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
+             height: int) -> Callable[[slice], np.ndarray]:
+    """net(rows): one hsin.nn.row_tiles tile's float32 output, clipped to [0, 1].
 
-    The one normalized decode step, shared by the encoder's evals and report
-    and the raw decode; a float16 payload is widened exactly to float32. The
+    The one normalized decode step, shared by the encoder's evals and the
+    block decoder; a float16 payload is widened exactly to float32. The
     grid's float32 coordinates (8 B per pixel) are made now, so a scene too
     large for memory fails before a decoder opens its output.
     """
     coords = build_grid(width, height)
     params = np.asarray(params, dtype=np.float32)
 
-    def net(rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+    def net(rows: slice) -> np.ndarray:
         y = mlp_forward(spec, params, coords[rows])
-        return np.clip(y, 0.0, 1.0, out=y if out is None else out)
+        return np.clip(y, 0.0, 1.0, out=y)
 
     return net
 
 
-def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Evaluate the net on the full grid; (n_pixels, bands) float32 in [0, 1].
+def reconstruct_normalized(spec: SirenSpec, params: np.ndarray, cube: HyperCube) -> float:
+    """MSE of tile_net's reconstruction against a normalized cube, scored tile by tile.
 
-    tile_net's tiles held whole, for the compress report's SSIM and its
-    decompress_seconds only: the encoder scores each eval tile by tile.
-    Every row is bitwise equal to one untiled evaluation of the whole grid.
+    The encoder's eval: no whole-grid reconstruction is held. Equal bit for
+    bit to mse(cube.band_matrix(), m) for m the band matrix of a decode of
+    the same payload at unit scale, ScaleInfo(0.0, 1.0).
     """
-    net = tile_net(spec, params, width, height)
-    out = np.empty((width * height, spec.out_dim), dtype=np.float32)
-    for rows in row_tiles(out.shape[0]):
-        net(rows, out[rows])
-    return out
+    net = tile_net(spec, params, cube.width, cube.height)
+    return tiled_mse(lambda rows: net(rows).T, cube.band_matrix())
 
 
 def _raw_blocks(enc: EncodedImage, max_pixels: int) -> Iterator[tuple[int, np.ndarray]]:

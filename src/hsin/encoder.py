@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adam import TrainingDiverged, adam_step, fresh_state
-from .codec import EncodedImage, check_format, payload_bits, quantize, reconstruct_normalized, tile_net
-from .cube import HyperCube, normalize
-from .metrics import QualityReport, bpppb, psnr_from_mse, ssim_mean, tiled_mse
+from .codec import (EncodedImage, check_format, decompress, payload_bits, quantize,
+                    reconstruct_normalized)
+from .cube import HyperCube, ScaleInfo, normalize
+from .metrics import QualityReport, bpppb, psnr_from_mse, ssim_mean
 from .nn import Batch, mlp_loss_and_grad
 from .sampling import SampleConfig, build_grid, gather_batch, sample_indices
 from .siren import SirenSpec, init_params, param_count
@@ -65,7 +66,7 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
     """Train one network on one normalized cube, keeping the best snapshot.
 
     Every eval_every epochs (and at the final epoch) full-grid MSE and PSNR
-    are measured tile by tile through the decoder's tile_net; with cfg.half
+    are measured tile by tile by codec.reconstruct_normalized; with cfg.half
     the weights are first quantized to float16: the score is post-decode quality.
     The returned snapshot is the argmax over those evaluations (the first
     of equal scores), never simply the last epoch.
@@ -100,8 +101,7 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
         if epoch % cfg.eval_every == 0 or epoch == cfg.iterations:
             # kept uncopied: adam_step returns new arrays and never writes this one
             payload = quantize(params) if cfg.half else params
-            net = tile_net(spec, payload, cube.width, cube.height)
-            m = tiled_mse(lambda rows: net(rows).T, cube.band_matrix())
+            m = reconstruct_normalized(spec, payload, cube)
             score = psnr_from_mse(m)
             history.append((epoch, score))
             if score > (best.psnr if best else -math.inf):
@@ -157,9 +157,9 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
     triggers architecture search over DEFAULT_CANDIDATES, each probed for
     DEFAULT_PROBE_ITERATIONS. A scene or net the file format cannot store is
     rejected before any training. The best snapshot is the payload, and its
-    eval, scored through the decode-side reconstruction, gives the report's
-    MSE and PSNR; only SSIM is scored afresh. report.history holds the run's
-    (epoch, psnr) evaluations.
+    eval gives the report's MSE and PSNR; only SSIM is scored afresh, on the
+    payload decoded at unit scale, which is what decompress_seconds times.
+    report.history holds the run's (epoch, psnr) evaluations.
     """
     t0 = time.perf_counter()
     normalized, scale = normalize(cube)
@@ -175,13 +175,13 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
     compress_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    recon = reconstruct_normalized(spec, snap.params, cube.width, cube.height)
+    recon = decompress(replace(enc, scale=ScaleInfo(0.0, 1.0)))  # x * 1.0 + 0.0 is x
     decompress_seconds = time.perf_counter() - t1
 
     report = QualityReport(
         mse=snap.mse,
         psnr=snap.psnr,
-        ssim_mean=ssim_mean(normalized.band_matrix(), recon.T),
+        ssim_mean=ssim_mean(normalized.band_matrix(), recon.band_matrix()),
         bpppb=bpppb(param_count(spec), payload_bits(enc.quantized),
                     cube.width, cube.height, cube.bands),
         compress_seconds=compress_seconds,

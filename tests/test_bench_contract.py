@@ -4,7 +4,8 @@ A refactor that renames or removes one of those names would silently drop
 a per-layer span from the traced run; this keeps every hook resolvable.
 The tracer also swallows an extractor's AttributeError, so a renamed field
 would silently zero a per-layer count; the second test runs each extractor
-on the arguments and result of a real call.
+on the arguments and result of a real call. The third checks that every
+eval of a traced compress is timed as codec.reconstruct.
 """
 
 import importlib
@@ -74,3 +75,22 @@ def test_every_extractor_reads_a_real_call(tmp_path, capsys, monkeypatch):
         attrs = describe(args, result)
         counts = _counts(attrs)
         assert counts and all(c > 0 for c in counts), f"{span}: {attrs}"
+
+
+def test_every_eval_is_traced_as_codec_reconstruct(tmp_path, capsys):
+    tracing = _load_tracing()
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("band-sinusoid", 8, 6, 3), raw)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.run(["compress", "--input", str(raw), "--layers", "1", "--width", "4",
+                        "--iters", "6", "--eval-every", "2", "--out", str(tmp_path / "c.hsin")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    metrics, _ = tracing.summarize(tracer.spans)
+    assert metrics["encoder.evals"][0] == 3
+    assert metrics["codec.reconstruct_calls"][0] == metrics["encoder.evals"][0]
+    assert metrics["encoder.eval_share"][0] > 0

@@ -825,6 +825,28 @@ def test_hsin_threads_after_numpy_warns():
     assert stderr("import numpy, hsin", **dict.fromkeys(blas, "1")) == ""
 
 
+@pytest.mark.parametrize("value, seeded", [("abc", None), ("0", None), ("-3", None), ("00", None),
+                                           ("1.5", None), ("2x", None), (" ", None),
+                                           (" 2 ", "2"), ("3", "3")])
+def test_hsin_threads_must_be_a_positive_integer(value, seeded):
+    # a BLAS ignores a thread count it cannot read: HSIN_THREADS must be
+    # digits (surrounding whitespace allowed) worth at least 1, or it seeds
+    # nothing and says so
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["HSIN_THREADS"] = value
+    code = f"import os, hsin; print([os.environ.get(v) for v in {blas!r}])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout == f"{[seeded] * 3}\n"
+    if seeded is None:
+        assert f"RuntimeWarning: HSIN_THREADS={value!r} pins no BLAS threads" in proc.stderr
+    else:
+        assert proc.stderr == ""
+
+
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("random", 4, 4, 2, seed=3), raw)

@@ -16,8 +16,10 @@ from hsin import (
     SirenSpec,
     decompress,
     deserialize,
+    mse,
     normalize,
     serialize,
+    synth_cube,
 )
 import hsin.codec
 import hsin.nn
@@ -358,7 +360,8 @@ def test_tiled_decode_equals_untiled_evaluation(monkeypatch, width, height, tile
         return mlp_forward(spec_, params_, inputs)
 
     monkeypatch.setattr(hsin.codec, "mlp_forward", counted_forward)
-    recon = reconstruct_normalized(spec, params, width, height)
+    unit = EncodedImage(width, height, spec, ScaleInfo(0.0, 1.0), params)
+    recon = decompress(unit).band_matrix().T  # pixel-major, as untiled
     assert len(calls) == tiles and sum(calls) == width * height
     assert min(calls) >= min(7, width * height)  # the remainder joined the last tile
     assert recon.dtype == np.float32
@@ -368,6 +371,24 @@ def test_tiled_decode_equals_untiled_evaluation(monkeypatch, width, height, tile
     span = enc.scale.raw_max - enc.scale.raw_min
     want = (recon.T.astype(np.float64) * span + enc.scale.raw_min).ravel()
     assert np.array_equal(decompress(enc).data, want.astype(np.float32))
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["full32", "half16"])
+@pytest.mark.parametrize("width, height", [(2, 3), (5, 4), (11, 2), (9, 5)],
+                         ids=["under-one-tile", "ragged-last-tile", "one-row-left", "7-tiles"])
+def test_eval_score_is_the_mse_of_the_unit_scale_decode(monkeypatch, width, height, half):
+    # the eval scores tile by tile and holds no reconstruction; its MSE is
+    # bitwise that of the decode the compress report scores
+    monkeypatch.setattr(hsin.nn, "TILE_ROWS", 7)
+    spec = SirenSpec(n_hidden=2, hidden_width=16, out_dim=6)
+    params = init_params(spec, seed=width)
+    if half:
+        params = quantize(params)
+    cube, _ = normalize(synth_cube("band-sinusoid", width, height, 6, seed=height))
+    recon = decompress(EncodedImage(width, height, spec, ScaleInfo(0.0, 1.0), params))
+    score = reconstruct_normalized(spec, params, cube)
+    assert score > 0
+    assert score == mse(cube.band_matrix(), recon.band_matrix())
 
 
 def test_decode_peak_memory(tmp_path):

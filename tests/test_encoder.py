@@ -22,7 +22,8 @@ from hsin import (
     serialize,
     synth_cube,
 )
-from hsin.codec import reconstruct_normalized
+from hsin.codec import EncodedImage
+from hsin.cube import ScaleInfo
 from hsin.encoder import overfit
 from hsin.metrics import psnr_from_mse
 from hsin.siren import param_count
@@ -222,7 +223,8 @@ def assert_report_scores_the_decode(cube, spec, enc, report):
     # against the normalized cube; in raw units the float32 decode differs
     # only by its rounding (about 1e-7 dB here)
     norm = normalize(cube)[0].band_matrix()
-    recon = reconstruct_normalized(spec, enc.params, cube.width, cube.height).T
+    unit = EncodedImage(cube.width, cube.height, spec, ScaleInfo(0.0, 1.0), enc.params)
+    recon = decompress(unit).band_matrix()
     assert (report.mse, report.psnr) == (mse(norm, recon), psnr(norm, recon))
     lo, hi = cube.value_range
     raw_psnr = psnr(cube.band_matrix(), decompress(enc).band_matrix(), peak=hi - lo)
