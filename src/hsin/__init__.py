@@ -6,30 +6,6 @@ precision, are the compressed file. Decompression evaluates the network on
 the full coordinate grid and restores raw units.
 """
 
-import os as _os
-import sys as _sys
-import warnings as _warnings
-
-# BLAS backends read their thread-count variables when numpy loads, so this
-# must happen before numpy loads anywhere; if it already has, say so.
-_threads = _os.environ.get("HSIN_THREADS")
-if _threads and not (_threads.strip().isascii() and _threads.strip().isdigit()
-                     and int(_threads) >= 1):
-    _warnings.warn(f"HSIN_THREADS={_threads!r} pins no BLAS threads: it is not a positive "
-                   "integer, so no thread variable was set", RuntimeWarning, stacklevel=2)
-    _threads = None
-if _threads:
-    _threads = _threads.strip()
-    _unset = [v for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-              if v not in _os.environ]
-    if _unset and "numpy" in _sys.modules:
-        _warnings.warn(f"HSIN_THREADS={_threads} does not pin BLAS threads: numpy was imported "
-                       f"before hsin, so {', '.join(_unset)} came too late; import hsin first "
-                       "or set them yourself", RuntimeWarning, stacklevel=2)
-    _os.environ.update(dict.fromkeys(_unset, _threads))
-    del _unset
-del _os, _sys, _warnings, _threads
-
 from .adam import TrainingDiverged
 from .codec import (
     BitstreamError,

@@ -236,6 +236,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help prints its usage, then argparse exits 0
+        return exc.code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

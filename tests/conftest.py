@@ -1,4 +1,5 @@
-"""Shared test helpers: independent reference implementations.
+"""Shared test helpers: independent reference implementations, and the
+environment of a child process that runs this checkout.
 
 These oracles deliberately avoid the package's own vectorized code paths
 (manual offset arithmetic, scalar loops, CPython's struct converter) so that
@@ -10,13 +11,34 @@ package's forward pass, which test_nn checks against scalar_forward.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
+import hsin
 from hsin import HyperCube, SirenSpec
 from hsin.nn import Batch, mlp_forward
 from hsin.siren import W0, unflatten
+
+
+_BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_env(threads: int | None = None) -> dict[str, str]:
+    """Environment for a child process that runs this checkout's hsin.
+
+    `src` comes first on PYTHONPATH and no thread variable is inherited, so
+    the child runs at the BLAS default unless `threads` is given; then the
+    BLAS reads that count from its own variables when numpy loads.
+    """
+    src = str(Path(hsin.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if threads is not None:
+        env.update(dict.fromkeys(_BLAS_THREADS, str(threads)))
+    return env
 
 
 def scalar_forward(spec: SirenSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:

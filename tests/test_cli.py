@@ -22,6 +22,7 @@ from hsin import (HalfRangeError, SirenSpec, TrainingDiverged, decompress, mse, 
 from hsin.codec import EncodedImage, quantize, serialize
 from hsin.cube import ScaleInfo
 from hsin.siren import init_params
+from conftest import fresh_env
 
 
 def parse_report(captured: str) -> dict:
@@ -288,9 +289,7 @@ def test_decompress_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch
 
 def test_python_dash_m_runs_the_cli(tmp_path):
     # a checkout runs the CLI as `python -m hsin` (and `python -m hsin.cli`)
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = fresh_env()
     for module, name in (("hsin", "a.raw"), ("hsin.cli", "b.raw")):
         out = tmp_path / name
         proc = subprocess.run([sys.executable, "-m", module, "synth", "--kind", "random",
@@ -314,9 +313,7 @@ def test_cli_keeps_tile_arrays_in_the_heap(tmp_path):
         pytest.skip("the allocator thresholds are glibc's")
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("band-sinusoid", 64, 64, 64), raw)
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {**os.environ, "HSIN_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = fresh_env(threads=1)
     library = ("import sys, hsin; cube = hsin.open_cube(sys.argv[1]); hsin.compress(cube, "
                "hsin.SirenSpec(5, 40, cube.bands), hsin.TrainConfig(20, eval_every=20))")
     faults = []
@@ -343,12 +340,8 @@ def test_decompress_out_of_memory_exits_2(tmp_path):
     hsn.write_bytes(serialize(enc))
     assert hsn.stat().st_size == 45
     out = tmp_path / "r.raw"
-    src = str(Path(hsin.__file__).resolve().parent.parent)
     # one BLAS thread, so the thread buffers fit well under the cap
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["HSIN_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = fresh_env(threads=1)
 
     def cap_address_space():
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -369,16 +362,13 @@ def test_decompress_out_of_memory_exits_2(tmp_path):
 def _run_under_file_size_cap(argv: list[str], cap: int) -> subprocess.CompletedProcess:
     """`python -m hsin *argv` from this checkout, with RLIMIT_FSIZE at `cap` bytes."""
     resource = pytest.importorskip("resource")
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
     def cap_file_size():
         _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
         limit = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
 
-    return subprocess.run([sys.executable, "-m", "hsin", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "hsin", *argv], env=fresh_env(),
                           preexec_fn=cap_file_size, capture_output=True, text=True, timeout=120)
 
 
@@ -557,11 +547,8 @@ def test_killed_decode_over_a_cube_leaves_no_cube_that_opens(tmp_path):
                                            init_params(spec, seed=2))))
     out = tmp_path / "r.raw"
     save_cube(synth_cube("random", 8, 6, 4), out)
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", _DIE_AFTER_FIRST_BAND, str(hsn), str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     with pytest.raises(hsin.CubeFormatError):
@@ -658,6 +645,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("command", ["", "compress", "decompress", "metrics", "search", "synth"])
+def test_help_returns_0(capsys, command):
+    # run returns every exit code, --help's included, and raises none
+    assert cli.run([*command.split(), "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: hsin")
+
+
 def test_io_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.raw"
     assert cli.run(["compress", "--input", str(missing), "--layers", "1",
@@ -747,18 +741,14 @@ def test_output_bytes_independent_of_thread_count(tmp_path):
     # the same compress in two fresh processes, with one and two BLAS threads
     raw = tmp_path / "c.raw"
     save_cube(synth_cube("band-sinusoid", 64, 64, 32), raw)
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     outs = []
-    for threads in ("1", "2"):
+    for threads in (1, 2):
         out = tmp_path / f"t{threads}.hsin"
         subprocess.run(
             [sys.executable, "-c", "import sys, hsin.cli; sys.exit(hsin.cli.run(sys.argv[1:]))",
              "compress", "--input", str(raw), "--layers", "5", "--width", "40",
              "--iters", "60", "--out", str(out)],
-            env={**env, "HSIN_THREADS": threads}, check=True, capture_output=True,
+            env=fresh_env(threads), check=True, capture_output=True,
         )
         outs.append(out.read_bytes())
     assert len(outs[0]) == 25 + 4 * 7992
@@ -767,8 +757,7 @@ def test_output_bytes_independent_of_thread_count(tmp_path):
 
 # One float32 training step on the first batch that window-3, rate-0.25
 # sampling draws from a 64x64 grid (925 rows), in a fresh process; prints
-# the loss and a digest of every bias gradient. hsin is imported before
-# numpy, so HSIN_THREADS sets the BLAS thread count.
+# the loss and a digest of every bias gradient.
 _SAMPLED_STEP = """
 import hashlib
 from hsin import SampleConfig, SirenSpec, normalize, synth_cube
@@ -792,59 +781,22 @@ def test_sampled_step_loss_and_bias_gradients_independent_of_thread_count():
     # same at one and two BLAS threads. The weight gradients dy.T @ x are
     # not (at 925 rows OpenBLAS's two-thread GEMM rounds them differently),
     # so a sampled compress writes other bytes at two threads
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    outs = [subprocess.run([sys.executable, "-c", _SAMPLED_STEP],
-                           env={**env, "HSIN_THREADS": threads}, check=True,
-                           capture_output=True, text=True).stdout
-            for threads in ("1", "2")]
+    outs = [subprocess.run([sys.executable, "-c", _SAMPLED_STEP], env=fresh_env(threads),
+                           check=True, capture_output=True, text=True).stdout
+            for threads in (1, 2)]
     assert outs[0].startswith("925 ")
     assert outs[0] == outs[1]
 
 
-def test_hsin_threads_after_numpy_warns():
-    # the BLAS reads its thread variables when numpy loads: HSIN_THREADS
-    # seeds them only if hsin comes first, and says so when it came too late
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env["HSIN_THREADS"] = "1"
-
-    def stderr(code, **extra):
-        return subprocess.run([sys.executable, "-c", code], env={**env, **extra}, check=True,
-                              capture_output=True, text=True).stderr
-
-    late = stderr("import numpy, hsin")
-    assert "RuntimeWarning: HSIN_THREADS=1 does not pin BLAS threads" in late
-    assert all(var in late for var in blas)
-    assert "OMP_NUM_THREADS" not in stderr("import numpy, hsin", OMP_NUM_THREADS="1")
-    assert stderr("import hsin, numpy") == ""
-    assert stderr("import numpy, hsin", **dict.fromkeys(blas, "1")) == ""
-
-
-@pytest.mark.parametrize("value, seeded", [("abc", None), ("0", None), ("-3", None), ("00", None),
-                                           ("1.5", None), ("2x", None), (" ", None),
-                                           (" 2 ", "2"), ("3", "3")])
-def test_hsin_threads_must_be_a_positive_integer(value, seeded):
-    # a BLAS ignores a thread count it cannot read: HSIN_THREADS must be
-    # digits (surrounding whitespace allowed) worth at least 1, or it seeds
-    # nothing and says so
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env["HSIN_THREADS"] = value
-    code = f"import os, hsin; print([os.environ.get(v) for v in {blas!r}])"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+def test_import_leaves_the_environment_alone():
+    # a thread count is the BLAS's own variable: importing hsin, even after
+    # numpy, sets none, reads no variable of its own and warns of nothing
+    code = ("import os; before = dict(os.environ); import numpy, hsin; "
+            "assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())")
+    proc = subprocess.run([sys.executable, "-c", code], env={**fresh_env(), "HSIN_THREADS": "1"},
                           capture_output=True, text=True)
-    assert proc.stdout == f"{[seeded] * 3}\n"
-    if seeded is None:
-        assert f"RuntimeWarning: HSIN_THREADS={value!r} pins no BLAS threads" in proc.stderr
-    else:
-        assert proc.stderr == ""
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):

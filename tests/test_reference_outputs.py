@@ -6,7 +6,6 @@ kernels and the SIMD set, so they are keyed by an environment fingerprint;
 on any other fingerprint the tests skip and name the one they found.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hsin
+from conftest import fresh_env
 
 BASE = ["--layers", "3", "--width", "32", "--iters", "200"]
 # run name -> compress flags
@@ -42,8 +41,8 @@ REFERENCE = {
     },
 }
 
-# runs in a fresh process, so HSIN_THREADS=1 reaches the BLAS before numpy
-# loads; argv: work directory, then one run name and its flags per argument
+# runs in a fresh process at one BLAS thread; argv: work directory, then one
+# run name and its flags per argument
 _SCRIPT = """
 import contextlib, hashlib, io, sys
 from pathlib import Path
@@ -121,14 +120,11 @@ def _recorded(table: dict) -> dict:
 
 
 def _run_reference(script: str, work: Path) -> dict:
-    """{run name: the hashes the script prints}, both runs at HSIN_THREADS=1."""
-    src = str(Path(hsin.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("OMP_", "OPENBLAS_", "MKL_"))}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env["HSIN_THREADS"] = "1"
+    """{run name: the hashes the script prints}, both runs at one BLAS thread."""
     runs = [" ".join([name, *flags]) for name, flags in RUNS.items()]
-    proc = subprocess.run([sys.executable, "-c", script, str(work), *runs], env=env,
-                          check=True, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, str(work), *runs],
+                          env=fresh_env(threads=1), check=True, capture_output=True, text=True,
+                          timeout=300)
     return {name: tuple(hashes) for name, *hashes in
             (line.split() for line in proc.stdout.splitlines())}
 
