@@ -105,7 +105,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="pick an architecture under a bpppb budget")
     p.add_argument("--input", required=True)
     p.add_argument("--budget-bpppb", type=float, required=True)
-    p.add_argument("--probe-iters", type=int, default=DEFAULT_PROBE_ITERATIONS)
+    p.add_argument("--probe-iters", type=int, default=DEFAULT_PROBE_ITERATIONS,
+                   help="iterations per candidate, each on a window-3, rate-0.25 pixel sample")
     p.add_argument("--half", action="store_true",
                    help="rate and probe candidates as float16 weights, as compress --half does")
     p.add_argument("--seed", type=int, default=0)
@@ -226,8 +227,8 @@ def _cmd_synth(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    # glibc maps each 0.1-4 MB row-tile array afresh above 128 KiB and trims its heap
-    # top: 414k page faults, not 5k, per search-small bench session; 352k, not 15k, at 145x145x220
+    # glibc maps each 0.1-4 MB row-tile array afresh above 128 KiB and trims its heap top: 414k
+    # faults, not 5k, per search-small session of full-batch probes; 352k, not 15k, at 145x145x220
     with contextlib.suppress(AttributeError, OSError, TypeError):
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int

@@ -4,7 +4,7 @@ Compression here IS training: the weights that best reproduce the cube are
 the compressed representation. The trainer evaluates full-grid PSNR on a
 cadence and keeps the best snapshot seen, so a run can never return worse
 weights than it once had. Architecture search trains each candidate shape
-briefly under a rate budget and keeps the winner.
+briefly, on a pixel sample, under a rate budget and keeps the winner.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ DEFAULT_CANDIDATES: list[tuple[int, int]] = [
 ]
 
 DEFAULT_PROBE_ITERATIONS = 2000
+PROBE_SAMPLE = SampleConfig(window=3, rate=0.25)  # every search probe trains on this sample
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,15 @@ def architecture_search(cube: HyperCube, budget_bpppb: float,
                         candidates: list[tuple[int, int]] | None = None) -> SirenSpec:
     """Pick the best (n_hidden, hidden_width) shape within a rate budget.
 
-    Candidates over budget are dropped; the rest each get a full-batch probe,
-    TrainConfig(iterations, seed=seed, half=half), on the (normalized) cube
-    and the highest full-grid PSNR wins. Ties go to fewer parameters, then
-    fewer layers. A lone feasible candidate is returned without training. A
-    candidate the file format cannot store raises ValueError before any probe.
+    Candidates over budget are dropped; the rest each get a sampled probe,
+    TrainConfig(iterations, seed=seed, half=half, sample=PROBE_SAMPLE), on the
+    (normalized) cube and the highest full-grid PSNR wins. Ties go to fewer
+    parameters, then fewer layers. A lone feasible candidate is returned untrained.
+    A candidate the file format cannot store raises ValueError before any probe.
     """
     if candidates is None:
         candidates = DEFAULT_CANDIDATES
-    probe = TrainConfig(iterations, seed=seed, half=half)
+    probe = TrainConfig(iterations, seed=seed, half=half, sample=PROBE_SAMPLE)
     bits = payload_bits(half)
 
     feasible = []
@@ -155,11 +156,11 @@ def compress(cube: HyperCube, spec_or_budget: SirenSpec | float,
 
     spec_or_budget is either an explicit SirenSpec or a bpppb budget that
     triggers architecture search over DEFAULT_CANDIDATES, each probed for
-    DEFAULT_PROBE_ITERATIONS. A scene or net the file format cannot store is
-    rejected before any training. The best snapshot is the payload, and its
-    eval gives the report's MSE and PSNR; only SSIM is scored afresh, on the
-    payload decoded at unit scale, which is what decompress_seconds times.
-    report.history holds the run's (epoch, psnr) evaluations.
+    DEFAULT_PROBE_ITERATIONS on PROBE_SAMPLE (of cfg, only seed and half reach
+    a probe). A scene or net the file format cannot store is rejected before
+    training. The best snapshot is the payload, and its eval gives the report's
+    MSE and PSNR; only SSIM is scored afresh, on the payload decoded at unit
+    scale, which decompress_seconds times. report.history holds the run's evals.
     """
     t0 = time.perf_counter()
     normalized, scale = normalize(cube)

@@ -17,11 +17,11 @@ import hsin.cli as cli
 import hsin.codec
 import hsin.encoder
 import hsin.nn
-from hsin import (HalfRangeError, SirenSpec, TrainingDiverged, decompress, mse, open_cube, psnr,
-                  save_cube, ssim_mean, synth_cube)
+from hsin import (HalfRangeError, SirenSpec, TrainingDiverged, bpppb, decompress, mse, open_cube,
+                  psnr, save_cube, ssim_mean, synth_cube)
 from hsin.codec import EncodedImage, quantize, serialize
 from hsin.cube import ScaleInfo
-from hsin.siren import init_params
+from hsin.siren import init_params, param_count
 from conftest import fresh_env
 
 
@@ -785,6 +785,24 @@ def test_sampled_step_loss_and_bias_gradients_independent_of_thread_count():
                            check=True, capture_output=True, text=True).stdout
             for threads in (1, 2)]
     assert outs[0].startswith("925 ")
+    assert outs[0] == outs[1]
+
+
+def test_search_picks_the_same_shape_at_one_and_two_threads(tmp_path):
+    # the probes train on sampled batches, so their bytes may differ with the
+    # BLAS thread count (here the (5,40) probe's weights do); the pick must not.
+    # At 2.0 bpppb four shapes of the default ladder fit this 64x64x32 cube
+    raw = tmp_path / "c.raw"
+    save_cube(synth_cube("smooth-gradient", 64, 64, 32), raw)
+    fits = [s for s in hsin.encoder.DEFAULT_CANDIDATES
+            if bpppb(param_count(SirenSpec(*s, out_dim=32)), 32, 64, 64, 32) <= 2.0]
+    assert len(fits) == 4
+    outs = [subprocess.run([sys.executable, "-m", "hsin", "search", "--input", str(raw),
+                            "--budget-bpppb", "2.0", "--probe-iters", "30"],
+                           env=fresh_env(threads), check=True, capture_output=True,
+                           text=True).stdout
+            for threads in (1, 2)]
+    assert parse_report(outs[0])["hidden_width"]
     assert outs[0] == outs[1]
 
 

@@ -24,7 +24,7 @@ from hsin import (
 )
 from hsin.codec import EncodedImage
 from hsin.cube import ScaleInfo
-from hsin.encoder import overfit
+from hsin.encoder import DEFAULT_PROBE_ITERATIONS, PROBE_SAMPLE, overfit
 from hsin.metrics import psnr_from_mse
 from hsin.siren import param_count
 from conftest import make_cube
@@ -197,12 +197,44 @@ def test_search_wider_wins_on_smooth_cube():
     # well as the narrow one after short probes, so the search picks it
     cube = synth_cube("smooth-gradient", 32, 32, 8)
     norm, _ = normalize(cube)
-    probe = TrainConfig(2000)
+    probe = TrainConfig(2000, sample=PROBE_SAMPLE)  # the search's own probe
     wide = overfit(norm, SirenSpec(n_hidden=2, hidden_width=64, out_dim=8), probe)
     narrow = overfit(norm, SirenSpec(n_hidden=2, hidden_width=8, out_dim=8), probe)
     assert wide.psnr >= narrow.psnr
     spec = architecture_search(norm, 1e9, 2000, candidates=[(2, 8), (2, 64)])
     assert (spec.n_hidden, spec.hidden_width) == (2, 64)
+
+
+def spy_on_overfit(monkeypatch) -> list[TrainConfig]:
+    """Record the TrainConfig of every overfit call, then train as usual."""
+    seen = []
+
+    def spy(cube, spec, cfg):
+        seen.append(cfg)
+        return overfit(cube, spec, cfg)
+
+    monkeypatch.setattr(hsin.encoder, "overfit", spy)
+    return seen
+
+
+def test_search_probes_on_the_fixed_sample(monkeypatch):
+    # only iterations, seed and half reach a probe; its sample is the
+    # module's window-3 one and its eval cadence the default
+    seen = spy_on_overfit(monkeypatch)
+    norm, _ = normalize(small_cube())
+    architecture_search(norm, 1e9, 7, seed=3, half=True, candidates=[(1, 4), (1, 8)])
+    assert seen == [TrainConfig(7, seed=3, half=True, sample=PROBE_SAMPLE)] * 2
+
+
+def test_compress_probes_on_the_fixed_sample_whatever_its_config(monkeypatch):
+    # on 16x16x4, (5,20) at 57.0 and (10,20) at 122.6 bpppb fit under 130,
+    # so both are probed before the final fit, which alone takes cfg
+    seen = spy_on_overfit(monkeypatch)
+    cfg = TrainConfig(20, eval_every=7, sample=SampleConfig(window=2, rate=0.5), seed=5)
+    enc, _ = compress(small_cube(), 130.0, cfg)
+    probe = TrainConfig(DEFAULT_PROBE_ITERATIONS, seed=5, half=False, sample=PROBE_SAMPLE)
+    assert seen == [probe, probe, cfg]
+    assert enc.spec.n_hidden in (5, 10)
 
 
 def test_search_uses_half16_bits_for_budget():
