@@ -106,7 +106,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--budget-bpppb", type=float, required=True)
     p.add_argument("--probe-iters", type=int, default=DEFAULT_PROBE_ITERATIONS,
-                   help="iterations per candidate, each on a window-3, rate-0.25 pixel sample")
+                   help="iterations per probe: every candidate on a window-3, rate-0.25 "
+                        "pixel sample, those within 2 dB of the best again full batch")
     p.add_argument("--half", action="store_true",
                    help="rate and probe candidates as float16 weights, as compress --half does")
     p.add_argument("--seed", type=int, default=0)

@@ -788,17 +788,31 @@ def test_sampled_step_loss_and_bias_gradients_independent_of_thread_count():
     assert outs[0] == outs[1]
 
 
-def test_search_picks_the_same_shape_at_one_and_two_threads(tmp_path):
-    # the probes train on sampled batches, so their bytes may differ with the
-    # BLAS thread count (here the (5,40) probe's weights do); the pick must not.
-    # At 2.0 bpppb four shapes of the default ladder fit this 64x64x32 cube
+@pytest.mark.parametrize("budget, n_fits, n_full", [(2.0, 4, 0), (4.0, 7, 2)])
+def test_search_picks_the_same_shape_at_one_and_two_threads(tmp_path, monkeypatch, budget,
+                                                            n_fits, n_full):
+    # the sampled probes' bytes may differ with the BLAS thread count (here the
+    # (5,40) probe's weights do); the pick must not. At 2.0 bpppb the best sampled
+    # probe leads by over 2 dB and decides alone; at 4.0 (5,40) and (10,40) lie
+    # within 0.2 dB of each other and full-batch probes rank them
+    cube = synth_cube("smooth-gradient", 64, 64, 32)
     raw = tmp_path / "c.raw"
-    save_cube(synth_cube("smooth-gradient", 64, 64, 32), raw)
+    save_cube(cube, raw)
     fits = [s for s in hsin.encoder.DEFAULT_CANDIDATES
-            if bpppb(param_count(SirenSpec(*s, out_dim=32)), 32, 64, 64, 32) <= 2.0]
-    assert len(fits) == 4
+            if bpppb(param_count(SirenSpec(*s, out_dim=32)), 32, 64, 64, 32) <= budget]
+    assert len(fits) == n_fits
+    real, full = hsin.encoder.overfit, []
+
+    def spy(cube, spec, cfg):
+        if cfg.sample is None:
+            full.append(spec)
+        return real(cube, spec, cfg)
+
+    monkeypatch.setattr(hsin.encoder, "overfit", spy)
+    hsin.architecture_search(hsin.normalize(cube)[0], budget, 30)
+    assert len(full) == n_full
     outs = [subprocess.run([sys.executable, "-m", "hsin", "search", "--input", str(raw),
-                            "--budget-bpppb", "2.0", "--probe-iters", "30"],
+                            "--budget-bpppb", str(budget), "--probe-iters", "30"],
                            env=fresh_env(threads), check=True, capture_output=True,
                            text=True).stdout
             for threads in (1, 2)]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hsin import (
 )
 from hsin.codec import EncodedImage
 from hsin.cube import ScaleInfo
-from hsin.encoder import DEFAULT_PROBE_ITERATIONS, PROBE_SAMPLE, overfit
+from hsin.encoder import DEFAULT_PROBE_ITERATIONS, PROBE_SAMPLE, BestSnapshot, overfit
 from hsin.metrics import psnr_from_mse
 from hsin.siren import param_count
 from conftest import make_cube
@@ -197,7 +198,7 @@ def test_search_wider_wins_on_smooth_cube():
     # well as the narrow one after short probes, so the search picks it
     cube = synth_cube("smooth-gradient", 32, 32, 8)
     norm, _ = normalize(cube)
-    probe = TrainConfig(2000, sample=PROBE_SAMPLE)  # the search's own probe
+    probe = TrainConfig(2000, sample=PROBE_SAMPLE)  # the search's first, sampled probe
     wide = overfit(norm, SirenSpec(n_hidden=2, hidden_width=64, out_dim=8), probe)
     narrow = overfit(norm, SirenSpec(n_hidden=2, hidden_width=8, out_dim=8), probe)
     assert wide.psnr >= narrow.psnr
@@ -219,21 +220,50 @@ def spy_on_overfit(monkeypatch) -> list[TrainConfig]:
 
 def test_search_probes_on_the_fixed_sample(monkeypatch):
     # only iterations, seed and half reach a probe; its sample is the
-    # module's window-3 one and its eval cadence the default
+    # module's window-3 one and its eval cadence the default. With no margin
+    # only the best sampled probe is near it, so no full-batch probe runs
+    monkeypatch.setattr(hsin.encoder, "PROBE_MARGIN_DB", 0.0)
     seen = spy_on_overfit(monkeypatch)
     norm, _ = normalize(small_cube())
     architecture_search(norm, 1e9, 7, seed=3, half=True, candidates=[(1, 4), (1, 8)])
     assert seen == [TrainConfig(7, seed=3, half=True, sample=PROBE_SAMPLE)] * 2
 
 
+def test_search_reprobes_near_ties_full_batch(monkeypatch):
+    # scripted probe scores by (width, full batch?): widths 4 and 8 lie within
+    # 2 dB of the best sampled score, 16 just outside it, so only 4 and 8 are
+    # probed again full batch, and there 8 wins; 16's full-batch score is never seen
+    psnr = {(4, False): 50.0, (8, False): 48.5, (16, False): 47.9, (32, False): 30.0,
+            (4, True): 40.0, (8, True): 45.0, (16, True): 99.0, (32, True): 99.0}
+    seen = []
+
+    def scripted(cube, spec, cfg):
+        seen.append((spec.hidden_width, cfg))
+        return BestSnapshot(np.zeros(0), 0.0, psnr[spec.hidden_width, cfg.sample is None], 1)
+
+    monkeypatch.setattr(hsin.encoder, "overfit", scripted)
+    assert hsin.encoder.PROBE_MARGIN_DB == 2.0
+    norm, _ = normalize(small_cube())
+    spec = architecture_search(norm, 1e9, 7, seed=2, candidates=[(1, 4), (1, 8), (1, 16), (1, 32)])
+    assert spec.hidden_width == 8
+    sampled, full = TrainConfig(7, seed=2, sample=PROBE_SAMPLE), TrainConfig(7, seed=2)
+    assert seen == [(4, sampled), (8, sampled), (16, sampled), (32, sampled), (4, full), (8, full)]
+
+    # equal full-batch scores go to fewer parameters
+    psnr[4, True] = 45.0
+    assert architecture_search(norm, 1e9, 7, candidates=[(1, 8), (1, 4)]).hidden_width == 4
+
+
 def test_compress_probes_on_the_fixed_sample_whatever_its_config(monkeypatch):
-    # on 16x16x4, (5,20) at 57.0 and (10,20) at 122.6 bpppb fit under 130,
-    # so both are probed before the final fit, which alone takes cfg
+    # on 16x16x4, (5,20) at 57.0 and (10,20) at 122.6 bpppb fit under 130, so
+    # both are probed sampled, then (margin unbounded) full batch, before the
+    # final fit, which alone takes cfg
+    monkeypatch.setattr(hsin.encoder, "PROBE_MARGIN_DB", math.inf)
     seen = spy_on_overfit(monkeypatch)
     cfg = TrainConfig(20, eval_every=7, sample=SampleConfig(window=2, rate=0.5), seed=5)
     enc, _ = compress(small_cube(), 130.0, cfg)
-    probe = TrainConfig(DEFAULT_PROBE_ITERATIONS, seed=5, half=False, sample=PROBE_SAMPLE)
-    assert seen == [probe, probe, cfg]
+    probe = TrainConfig(DEFAULT_PROBE_ITERATIONS, seed=5, half=False)
+    assert seen == [replace(probe, sample=PROBE_SAMPLE)] * 2 + [probe] * 2 + [cfg]
     assert enc.spec.n_hidden in (5, 10)
 
 
