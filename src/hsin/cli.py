@@ -21,7 +21,8 @@ from .codec import BitstreamError, HalfRangeError, deserialize, payload_bits, se
 from .codec import decompress_to as decompress
 from .cube import (SYNTH_KINDS, CubeFormatError, header_path, normalize, open_cube,
                    removed_on_failure, save_cube, synth_cube)
-from .encoder import DEFAULT_PROBE_ITERATIONS, TrainConfig, architecture_search, compress
+from .encoder import (DEFAULT_PROBE_ITERATIONS, PROBE_MARGIN_DB, PROBE_SAMPLE, TrainConfig,
+                      architecture_search, compress)
 from .metrics import QualityReport, bpppb, mse, psnr_from_mse, ssim_mean
 from .sampling import SampleConfig
 from .siren import SirenSpec, param_count
@@ -106,8 +107,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--budget-bpppb", type=float, required=True)
     p.add_argument("--probe-iters", type=int, default=DEFAULT_PROBE_ITERATIONS,
-                   help="iterations per probe: every candidate on a window-3, rate-0.25 "
-                        "pixel sample, those within 2 dB of the best again full batch")
+                   help=f"iterations per probe: every candidate on a window-{PROBE_SAMPLE.window}, "
+                        f"rate-{PROBE_SAMPLE.rate:g} pixel sample, those within "
+                        f"{PROBE_MARGIN_DB:g} dB of the best again full batch")
     p.add_argument("--half", action="store_true",
                    help="rate and probe candidates as float16 weights, as compress --half does")
     p.add_argument("--seed", type=int, default=0)
@@ -228,8 +230,8 @@ def _cmd_synth(args) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    # glibc maps each 0.1-4 MB row-tile array afresh above 128 KiB and trims its heap top: 414k
-    # faults, not 5k, per search-small session of full-batch probes; 352k, not 15k, at 145x145x220
+    # glibc maps each 0.1-4 MB row-tile array afresh above 128 KiB and trims its heap top: 255k
+    # faults, not 5k, per search-small session; 341k, not 5k, in a fresh 145x145x220 compress
     with contextlib.suppress(AttributeError, OSError, TypeError):
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int

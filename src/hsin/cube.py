@@ -129,13 +129,14 @@ def write_header(header: CubeHeader, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_cube(data_path: str | Path, header: CubeHeader) -> HyperCube:
-    """Read a raw BSQ float32 file described by `header`.
+def open_cube(data_path: str | Path) -> HyperCube:
+    """Load a raw BSQ float32 cube given its data file and the .hdr sidecar next to it.
 
     The file's size is checked before any sample is read, and the samples
     are read straight into the cube's own (writable) array.
     """
     data_path = Path(data_path)
+    header = read_header(header_path(data_path))
     expected = header.width * header.height * header.bands * 4
     try:
         with open(data_path, "rb") as fh:
@@ -170,11 +171,6 @@ def _check_finite(cube: HyperCube, data_path: str | Path, error: type[Exception]
 def header_path(data_path: str | Path) -> Path:
     """The .hdr sidecar next to a raw cube file."""
     return Path(data_path).with_suffix(".hdr")
-
-
-def open_cube(data_path: str | Path) -> HyperCube:
-    """Load a cube given its data file, reading the .hdr sidecar next to it."""
-    return load_cube(data_path, read_header(header_path(data_path)))
 
 
 @contextlib.contextmanager

@@ -62,7 +62,6 @@ class BestSnapshot:
     params: np.ndarray
     mse: float
     psnr: float
-    epoch: int
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -109,17 +108,16 @@ def overfit(cube: HyperCube, spec: SirenSpec, cfg: TrainConfig) -> BestSnapshot:
             score = psnr_from_mse(m)
             history.append((epoch, score))
             if score > (best.psnr if best else -math.inf):
-                best = BestSnapshot(payload, m, score, epoch, history)
+                best = BestSnapshot(payload, m, score, history)
     return best
 
 
 def architecture_search(cube: HyperCube, budget_bpppb: float,
                         iterations: int = DEFAULT_PROBE_ITERATIONS, seed: int = 0,
-                        half: bool = False,
-                        candidates: list[tuple[int, int]] | None = None) -> SirenSpec:
+                        half: bool = False) -> SirenSpec:
     """Pick the best (n_hidden, hidden_width) shape within a rate budget.
 
-    Candidates over budget are dropped; the rest each get a sampled probe,
+    DEFAULT_CANDIDATES over budget are dropped; the rest each get a sampled probe,
     TrainConfig(iterations, seed=seed, half=half, sample=PROBE_SAMPLE), on the
     (normalized) cube. Those whose full-grid PSNR is within PROBE_MARGIN_DB of
     the best are probed again full batch, TrainConfig(iterations, seed=seed,
@@ -128,13 +126,11 @@ def architecture_search(cube: HyperCube, budget_bpppb: float,
     candidate is returned untrained. A candidate the file format cannot store
     raises ValueError before any probe.
     """
-    if candidates is None:
-        candidates = DEFAULT_CANDIDATES
     probe = TrainConfig(iterations, seed=seed, half=half)
     bits = payload_bits(half)
 
     feasible = []
-    for n_h, w_h in candidates:
+    for n_h, w_h in DEFAULT_CANDIDATES:
         spec = SirenSpec(n_hidden=n_h, hidden_width=w_h, out_dim=cube.bands)
         check_format(cube.width, cube.height, spec)
         rate = bpppb(param_count(spec), bits, cube.width, cube.height, cube.bands)

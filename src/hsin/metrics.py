@@ -64,45 +64,37 @@ def psnr(a, b, peak: float = 1.0) -> float:
     return psnr_from_mse(mse(a, b), peak)
 
 
-def ssim_band(x, y, dynamic_range: float = 1.0) -> float:
-    """Structural similarity of two single-band images, global statistics.
+def ssim_mean(a, b, dynamic_range: float = 1.0) -> float:
+    """Structural similarity of each band pair, global statistics, averaged across bands.
 
     C1 = (0.01*L)^2 and C2 = (0.03*L)^2 stabilize the ratio; both variance
     and covariance are computed from shared deviation arrays so that
-    ssim_band(x, x) is exactly 1.
-    """
-    if not dynamic_range > 0:
-        raise ValueError(f"dynamic_range must be positive, got {dynamic_range!r}")
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.shape != yv.shape:
-        raise ValueError(f"band sizes differ: {xv.size} vs {yv.size}")
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    mx = float(xv.mean())
-    my = float(yv.mean())
-    dx = xv - mx
-    dy = yv - my
-    var_x = float(np.mean(dx * dx))
-    var_y = float(np.mean(dy * dy))
-    cov = float(np.mean(dx * dy))
-    num = (2.0 * mx * my + c1) * (2.0 * cov + c2)
-    den = (mx * mx + my * my + c1) * (var_x + var_y + c2)
-    return num / den
-
-
-def ssim_mean(a, b, dynamic_range: float = 1.0) -> float:
-    """ssim_band averaged across all spectral bands.
-
-    Each band is widened to float64 on its own (ssim_band), so a float32
-    or transposed operand is never copied whole: the compress report
-    scores a float32 reconstruction right after training has freed its
-    cube-sized arrays, and a cube-sized float64 copy there raised the
-    peak RSS by 37 MB at 145x145x220 whenever the allocator had kept those
-    freed arrays.
+    ssim_mean(x, x) is exactly 1. Each band is widened to float64 on its
+    own, so a float32 or transposed operand is never copied whole: the
+    compress report scores a float32 reconstruction right after training
+    has freed its cube-sized arrays, and a cube-sized float64 copy there
+    raised the peak RSS by 37 MB at 145x145x220 whenever the allocator had
+    kept those freed arrays.
     """
     xa, xb = _band_pair(a, b)
-    scores = [ssim_band(xa[k], xb[k], dynamic_range) for k in range(xa.shape[0])]
+    if not dynamic_range > 0:
+        raise ValueError(f"dynamic_range must be positive, got {dynamic_range!r}")
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+    scores = []
+    for x, y in zip(xa, xb):
+        xv = np.asarray(x, dtype=np.float64)
+        yv = np.asarray(y, dtype=np.float64)
+        mx = float(xv.mean())
+        my = float(yv.mean())
+        dx = xv - mx
+        dy = yv - my
+        var_x = float(np.mean(dx * dx))
+        var_y = float(np.mean(dy * dy))
+        cov = float(np.mean(dx * dy))
+        num = (2.0 * mx * my + c1) * (2.0 * cov + c2)
+        den = (mx * mx + my * my + c1) * (var_x + var_y + c2)
+        scores.append(num / den)
     return float(np.mean(scores))
 
 

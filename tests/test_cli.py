@@ -639,6 +639,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
          "--sample-window", "3", "--out", "x.hsin"],              # rate missing
         ["synth", "--kind", "random", "--dims", "4x4", "--out", "y.raw"],
         ["synth", "--kind", "random", "--dims", "axbxc", "--out", "y.raw"],
+        ["synth", "--kind", "random", "--dims", "0x4x4", "--out", "y.raw"],
     ]
     for argv in cases:
         assert cli.run(argv) == 1, argv
@@ -657,6 +658,10 @@ def test_io_errors_exit_2(tmp_path, capsys):
     assert cli.run(["compress", "--input", str(missing), "--layers", "1",
                     "--width", "8", "--out", str(tmp_path / "x.hsin")]) == 2
     assert cli.run(["metrics", "--orig", str(missing), "--recon", str(missing)]) == 2
+    capsys.readouterr()
+    assert cli.run(["decompress", "--in", str(tmp_path / "missing.hsin"),
+                    "--out", str(tmp_path / "r.raw")]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
     # corrupted magic in a .hsin
     raw = tmp_path / "c.raw"
@@ -670,6 +675,16 @@ def test_io_errors_exit_2(tmp_path, capsys):
     hsn.write_bytes(bytes(blob))
     assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / "r.raw")]) == 2
     assert "magic" in capsys.readouterr().err
+
+    # a bad raw range (bytes 17-24) is refused before any output is written
+    for raw_min, raw_max, message in [(np.nan, 1.0, "finite"), (0.0, np.inf, "finite"),
+                                      (2.0, 1.0, "raw_max")]:
+        blob[:4] = b"HSIN"
+        blob[17:25] = struct.pack("<ff", raw_min, raw_max)
+        hsn.write_bytes(bytes(blob))
+        assert cli.run(["decompress", "--in", str(hsn), "--out", str(tmp_path / "r.raw")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.raw").exists() and not (tmp_path / "r.hdr").exists()
 
 
 def test_truncated_cube_exits_2(tmp_path, capsys):

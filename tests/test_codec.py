@@ -180,6 +180,13 @@ def test_deserialize_error_cases():
     zeroed[5] = zeroed[6] = 0
     with pytest.raises(BitstreamError, match="zero"):
         deserialize(bytes(zeroed))
+    # raw range (bytes 17-24): a NaN or inf bound, or raw_max < raw_min
+    for raw_min, raw_max, message in [(np.nan, 1.0, "finite"), (0.0, np.inf, "finite"),
+                                      (2.0, 1.0, "raw_max")]:
+        bad = bytearray(blob)
+        bad[17:25] = struct.pack("<ff", raw_min, raw_max)
+        with pytest.raises(BitstreamError, match=message):
+            deserialize(bytes(bad))
 
 
 def test_deserialize_rejects_non_finite_weights():

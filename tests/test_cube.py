@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsin import CubeFormatError, HyperCube, normalize, open_cube, save_cube, synth_cube
-from hsin.cube import CubeHeader, load_cube, read_header
+from hsin.cube import CubeHeader, read_header, write_header
 from conftest import make_cube
 
 
@@ -56,10 +56,11 @@ def test_wrong_size_file_is_rejected_before_it_is_read(tmp_path):
     path = tmp_path / "big.raw"
     with open(path, "wb") as fh:
         fh.truncate(1 << 30)
+    write_header(CubeHeader(32, 32, 8), tmp_path / "big.hdr")
     tracemalloc.start()
     try:
         with pytest.raises(CubeFormatError, match="expected 32768 bytes"):
-            load_cube(path, CubeHeader(32, 32, 8))
+            open_cube(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -92,8 +93,10 @@ def test_save_rejects_non_finite_samples_before_writing(tmp_path):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(CubeFormatError):
-        load_cube(tmp_path / "nope.raw", CubeHeader(2, 2, 2))
+    # the sidecar is there, so it is the data file's read that fails
+    write_header(CubeHeader(2, 2, 2), tmp_path / "nope.hdr")
+    with pytest.raises(CubeFormatError, match="cannot read"):
+        open_cube(tmp_path / "nope.raw")
 
 
 def test_header_round_trip_and_errors(tmp_path):

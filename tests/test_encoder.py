@@ -21,6 +21,7 @@ from hsin import (
     normalize,
     psnr,
     serialize,
+    ssim_mean,
     synth_cube,
 )
 from hsin.codec import EncodedImage
@@ -56,7 +57,6 @@ def test_snapshot_is_argmax_not_last():
     assert len(scores) == 16
     assert snap.psnr == max(scores)
     assert snap.psnr >= scores[-1]
-    assert snap.epoch in [e for e, s in snap.history if s == snap.psnr]
     # running best never decreases
     running = np.maximum.accumulate(scores)
     assert np.all(np.diff(running) >= 0)
@@ -162,38 +162,46 @@ def test_train_config_validation():
 
 # ------------------------------------------------------------------- search
 
-def test_search_single_feasible_returned_without_training():
+def use_ladder(monkeypatch, candidates: list[tuple[int, int]]) -> None:
+    """Make the search sweep `candidates` in place of DEFAULT_CANDIDATES."""
+    monkeypatch.setattr(hsin.encoder, "DEFAULT_CANDIDATES", candidates)
+
+
+def test_search_single_feasible_returned_without_training(monkeypatch):
     norm, _ = normalize(small_cube())
     n = param_count(SirenSpec(n_hidden=1, hidden_width=8, out_dim=4))
     tight = bpppb(n, 32, 16, 16, 4) + 1e-9
     # probe iterations huge: would take forever if it actually trained
-    spec = architecture_search(norm, tight, 10_000_000, candidates=[(1, 8), (3, 64)])
+    use_ladder(monkeypatch, [(1, 8), (3, 64)])
+    spec = architecture_search(norm, tight, 10_000_000)
     assert (spec.n_hidden, spec.hidden_width) == (1, 8)
 
 
-def test_search_never_returns_over_budget():
+def test_search_never_returns_over_budget(monkeypatch):
     norm, _ = normalize(small_cube())
-    candidates = [(1, 4), (1, 8), (2, 16)]
+    use_ladder(monkeypatch, [(1, 4), (1, 8), (2, 16)])
     budget = bpppb(param_count(SirenSpec(n_hidden=1, hidden_width=8, out_dim=4)), 32, 16, 16, 4)
-    spec = architecture_search(norm, budget, 50, candidates=candidates)
+    spec = architecture_search(norm, budget, 50)
     got = bpppb(param_count(spec), 32, 16, 16, 4)
     assert got <= budget
 
 
-def test_search_empty_feasible_set_raises():
+def test_search_empty_feasible_set_raises(monkeypatch):
     norm, _ = normalize(small_cube())
+    use_ladder(monkeypatch, [(5, 100)])
     with pytest.raises(ValueError, match="budget|fits"):
-        architecture_search(norm, 1e-9, 10, candidates=[(5, 100)])
+        architecture_search(norm, 1e-9, 10)
 
 
-def test_search_rejects_unstorable_candidate_before_probing():
+def test_search_rejects_unstorable_candidate_before_probing(monkeypatch):
     # the header stores hidden_width as uint8; probes this long would never end
     norm, _ = normalize(small_cube())
+    use_ladder(monkeypatch, [(1, 8), (1, 256)])
     with pytest.raises(ValueError, match="hidden_width"):
-        architecture_search(norm, 1e9, 10_000_000, candidates=[(1, 8), (1, 256)])
+        architecture_search(norm, 1e9, 10_000_000)
 
 
-def test_search_wider_wins_on_smooth_cube():
+def test_search_wider_wins_on_smooth_cube(monkeypatch):
     # capacity trend: at a generous budget the wide net scores at least as
     # well as the narrow one after short probes, so the search picks it
     cube = synth_cube("smooth-gradient", 32, 32, 8)
@@ -202,7 +210,8 @@ def test_search_wider_wins_on_smooth_cube():
     wide = overfit(norm, SirenSpec(n_hidden=2, hidden_width=64, out_dim=8), probe)
     narrow = overfit(norm, SirenSpec(n_hidden=2, hidden_width=8, out_dim=8), probe)
     assert wide.psnr >= narrow.psnr
-    spec = architecture_search(norm, 1e9, 2000, candidates=[(2, 8), (2, 64)])
+    use_ladder(monkeypatch, [(2, 8), (2, 64)])
+    spec = architecture_search(norm, 1e9, 2000)
     assert (spec.n_hidden, spec.hidden_width) == (2, 64)
 
 
@@ -225,7 +234,8 @@ def test_search_probes_on_the_fixed_sample(monkeypatch):
     monkeypatch.setattr(hsin.encoder, "PROBE_MARGIN_DB", 0.0)
     seen = spy_on_overfit(monkeypatch)
     norm, _ = normalize(small_cube())
-    architecture_search(norm, 1e9, 7, seed=3, half=True, candidates=[(1, 4), (1, 8)])
+    use_ladder(monkeypatch, [(1, 4), (1, 8)])
+    architecture_search(norm, 1e9, 7, seed=3, half=True)
     assert seen == [TrainConfig(7, seed=3, half=True, sample=PROBE_SAMPLE)] * 2
 
 
@@ -239,19 +249,21 @@ def test_search_reprobes_near_ties_full_batch(monkeypatch):
 
     def scripted(cube, spec, cfg):
         seen.append((spec.hidden_width, cfg))
-        return BestSnapshot(np.zeros(0), 0.0, psnr[spec.hidden_width, cfg.sample is None], 1)
+        return BestSnapshot(np.zeros(0), 0.0, psnr[spec.hidden_width, cfg.sample is None])
 
     monkeypatch.setattr(hsin.encoder, "overfit", scripted)
     assert hsin.encoder.PROBE_MARGIN_DB == 2.0
     norm, _ = normalize(small_cube())
-    spec = architecture_search(norm, 1e9, 7, seed=2, candidates=[(1, 4), (1, 8), (1, 16), (1, 32)])
+    use_ladder(monkeypatch, [(1, 4), (1, 8), (1, 16), (1, 32)])
+    spec = architecture_search(norm, 1e9, 7, seed=2)
     assert spec.hidden_width == 8
     sampled, full = TrainConfig(7, seed=2, sample=PROBE_SAMPLE), TrainConfig(7, seed=2)
     assert seen == [(4, sampled), (8, sampled), (16, sampled), (32, sampled), (4, full), (8, full)]
 
     # equal full-batch scores go to fewer parameters
     psnr[4, True] = 45.0
-    assert architecture_search(norm, 1e9, 7, candidates=[(1, 8), (1, 4)]).hidden_width == 4
+    use_ladder(monkeypatch, [(1, 8), (1, 4)])
+    assert architecture_search(norm, 1e9, 7).hidden_width == 4
 
 
 def test_compress_probes_on_the_fixed_sample_whatever_its_config(monkeypatch):
@@ -267,27 +279,30 @@ def test_compress_probes_on_the_fixed_sample_whatever_its_config(monkeypatch):
     assert enc.spec.n_hidden in (5, 10)
 
 
-def test_search_uses_half16_bits_for_budget():
+def test_search_uses_half16_bits_for_budget(monkeypatch):
     norm, _ = normalize(small_cube())
+    use_ladder(monkeypatch, [(2, 16)])
     n = param_count(SirenSpec(n_hidden=2, hidden_width=16, out_dim=4))
     # budget that only fits (2,16) at 16 bits per parameter, not at 32
     budget = bpppb(n, 16, 16, 16, 4) + 1e-9
-    spec = architecture_search(norm, budget, 20, half=True, candidates=[(2, 16)])
+    spec = architecture_search(norm, budget, 20, half=True)
     assert (spec.n_hidden, spec.hidden_width) == (2, 16)
     with pytest.raises(ValueError):
-        architecture_search(norm, budget, 20, candidates=[(2, 16)])
+        architecture_search(norm, budget, 20)
 
 
 # ----------------------------------------------------------------- compress
 
 def assert_report_scores_the_decode(cube, spec, enc, report):
     # the report's scores are exactly those of the decode-side reconstruction
-    # against the normalized cube; in raw units the float32 decode differs
-    # only by its rounding (about 1e-7 dB here)
+    # against the normalized cube, SSIM included (at L = 1, not in raw units);
+    # in raw units the float32 decode's PSNR differs only by its rounding
+    # (about 1e-7 dB here)
     norm = normalize(cube)[0].band_matrix()
     unit = EncodedImage(cube.width, cube.height, spec, ScaleInfo(0.0, 1.0), enc.params)
     recon = decompress(unit).band_matrix()
     assert (report.mse, report.psnr) == (mse(norm, recon), psnr(norm, recon))
+    assert report.ssim_mean == ssim_mean(norm, recon)
     lo, hi = cube.value_range
     raw_psnr = psnr(cube.band_matrix(), decompress(enc).band_matrix(), peak=hi - lo)
     assert abs(raw_psnr - report.psnr) < 1e-6

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsin import QualityReport, bpppb, mse, psnr, ssim_mean, synth_cube
-from hsin.metrics import psnr_from_mse, ssim_band
+from hsin.metrics import psnr_from_mse
 from hsin.nn import TILE_ROWS
 from conftest import make_cube
 
@@ -123,11 +123,16 @@ def test_psnr_peak_validation():
 
 # --------------------------------------------------------------------- ssim
 
+def ssim_one_band(x, y, **kw) -> float:
+    """ssim_mean of two single-band images, each flattened to one (1, n_pixels) row."""
+    return ssim_mean(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **kw)
+
+
 def test_ssim_identical_is_exactly_one():
     cube = synth_cube("band-sinusoid", 6, 5, 4)
     assert ssim_mean(cube.band_matrix(), cube.band_matrix()) == 1.0
     band = np.random.default_rng(1).random((5, 6))
-    assert ssim_band(band, band) == 1.0
+    assert ssim_one_band(band, band) == 1.0
 
 
 def test_ssim_constant_bands_worked_example():
@@ -137,7 +142,7 @@ def test_ssim_constant_bands_worked_example():
     y = np.ones((4, 4))
     c1 = (0.01 * 1.0) ** 2
     expected = c1 / (1.0 + c1)
-    got = ssim_band(x, y, dynamic_range=1.0)
+    got = ssim_one_band(x, y, dynamic_range=1.0)
     assert got == pytest.approx(expected, rel=1e-15)
     assert abs(got - 9.999000099990002e-05) < 1e-18
     assert got < 1e-4  # nowhere near a match
@@ -147,8 +152,8 @@ def test_ssim_symmetry_and_range():
     rng = np.random.default_rng(7)
     x = rng.random((8, 8))
     y = np.clip(x + rng.normal(0, 0.05, (8, 8)), 0, 1)
-    s = ssim_band(x, y)
-    assert ssim_band(y, x) == s
+    s = ssim_one_band(x, y)
+    assert ssim_one_band(y, x) == s
     assert 0.0 < s <= 1.0
 
 
@@ -156,17 +161,18 @@ def test_ssim_mean_averages_bands():
     a = make_cube(3, 3, 2, np.concatenate([np.zeros(9), np.ones(9) * 0.5]))
     b = make_cube(3, 3, 2, np.concatenate([np.zeros(9), np.full(9, 0.75)]))
     per_band = [
-        ssim_band(a.band_matrix()[0], b.band_matrix()[0]),
-        ssim_band(a.band_matrix()[1], b.band_matrix()[1]),
+        ssim_one_band(a.band_matrix()[0], b.band_matrix()[0]),
+        ssim_one_band(a.band_matrix()[1], b.band_matrix()[1]),
     ]
     assert ssim_mean(a.band_matrix(), b.band_matrix()) == pytest.approx(np.mean(per_band), rel=1e-15)
 
 
 def test_ssim_mean_widens_one_band_at_a_time():
-    # the compress report's pair: float64 bands against a transposed float32
-    # reconstruction. Widening each band on its own gives the bits of a
-    # float64 copy of the whole reconstruction and holds a few bands at a
-    # time, not the 64 bands of such a copy
+    # float64 bands against a transposed float32 reconstruction (the compress
+    # report scores two band-major float32 matrices, the normalized cube and
+    # its decode). Widening each band on its own gives the bits of a float64
+    # copy of the whole reconstruction and holds a few bands at a time, not
+    # the 64 bands of such a copy
     rng = np.random.default_rng(11)
     bands, pixels = 64, 4096
     ref = rng.random((bands, pixels))
@@ -185,7 +191,9 @@ def test_ssim_mean_widens_one_band_at_a_time():
 
 def test_ssim_dimension_mismatch():
     with pytest.raises(ValueError):
-        ssim_band(np.zeros((2, 2)), np.zeros((3, 2)))
+        ssim_one_band(np.zeros((2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="dynamic_range"):
+        ssim_mean(np.zeros((2, 4)), np.zeros((2, 4)), dynamic_range=0.0)
 
 
 # -------------------------------------------------------------------- bpppb

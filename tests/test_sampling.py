@@ -155,6 +155,10 @@ def test_config_validation():
         SampleConfig(window=3, rate=0.0)
     with pytest.raises(ValueError):
         SampleConfig(window=3, rate=1.5)
+    with pytest.raises(ValueError, match="epoch"):
+        sample_indices(4, 4, SampleConfig(window=2, rate=0.5), 0, -1)
+    with pytest.raises(ValueError, match="grid dimensions"):
+        build_grid(0, 3)
 
 
 # ------------------------------------------------------------------- gather
@@ -203,6 +207,8 @@ def test_gather_dtype_and_errors():
         gather_batch(cube, grid, np.array([16]))
     with pytest.raises(IndexError):
         gather_batch(cube, grid, np.array([-1]))
+    with pytest.raises(ValueError, match="non-empty"):
+        gather_batch(cube, grid, np.array([], dtype=np.int64))
     other = synth_cube("random", 5, 4, 2, seed=1)
     with pytest.raises(ValueError):
         gather_batch(cube, full_grid(other, build_grid(5, 4)), np.array([0]))
